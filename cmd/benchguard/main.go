@@ -100,9 +100,8 @@ func main() {
 	current := flag.String("current", "results/scale-churn.json", "freshly generated scale table")
 	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional allocs/run growth before failing")
 	minSpeedup := flag.Float64("min-speedup", 0, "minimum speedup the guarded row must reach (0 disables)")
-	speedupN := flag.Int("speedup-n", 10000, "population of the speedup-guarded row")
-	speedupShards := flag.Int("speedup-shards", 4, "shard count of the speedup-guarded row")
-	speedupWorkload := flag.String("speedup-workload", "churn", "workload of the speedup-guarded row")
+	speedupN := flag.Int("speedup-n", 10000, "population of the speedup-guarded churn row")
+	speedupShards := flag.Int("speedup-shards", 4, "shard count of the speedup-guarded churn row")
 	only := flag.String("only", "", "comma-separated workloads to guard (empty = all; \"churn\" names the canonical timeline)")
 	flag.Parse()
 
@@ -181,7 +180,7 @@ func main() {
 	}
 
 	if *minSpeedup > 0 {
-		k := key{canonWorkload(*speedupWorkload), *speedupN, *speedupShards}
+		k := key{"", *speedupN, *speedupShards}
 		switch c, ok := cur[k]; {
 		case !ok:
 			fmt.Fprintf(os.Stderr, "benchguard: speedup floor set but %s missing from current run\n", k)

@@ -63,11 +63,10 @@ the workload rows:
 UDP mode (-udp): run the real-socket benchmark — an -n node loopback
 cluster (real UDP sockets, wall-clock timers, the binary codec) carrying
 saturating keep-alive traffic plus rate-paced DHT reads, measured as
-msgs/s, allocs/msg and syscalls/msg. -udp-variant both (the default)
-runs the kernel-batched fast path and the single-datagram fallback on
-identical workloads and prints the before/after table; rows export as
-udp-bench.{csv,json} ("udp" and "udpsingle" workloads, allocs_run
-normalised to allocations per 1000 messages):
+msgs/s, allocs/msg and syscalls/msg on the kernel-batched path (the
+single-datagram fallback where the platform lacks it); the row exports
+as udp-bench.{csv,json} (workload "udp", allocs_run normalised to
+allocations per 1000 messages):
 
   treep-bench -udp -n 50 -udp-for 5s -out results/
 
@@ -116,11 +115,10 @@ func main() {
 	storage := flag.Bool("storage", false, "scale mode: additionally run the DHT put/get-under-churn workload per N (workload \"dht\" rows)")
 	zipf := flag.Bool("zipf", false, "scale mode: additionally run the skewed Zipf(1.0) read workload with the load balancer on per N (workload \"zipf\" rows)")
 	udp := flag.Bool("udp", false, "real-socket benchmark: an -n node loopback UDP cluster measured as msgs/s, allocs/msg, syscalls/msg; enables udp mode")
-	udpFor := flag.Duration("udp-for", 5*time.Second, "udp mode: measurement window per variant")
+	udpFor := flag.Duration("udp-for", 5*time.Second, "udp mode: measurement window")
 	udpWorkers := flag.Int("udp-workers", 8, "udp mode: DHT read workers")
 	udpRecords := flag.Int("udp-records", 64, "udp mode: DHT records preloaded for the read workload")
-	udpRate := flag.Int("udp-rate", 500, "udp mode: gets/s per worker, so both variants do identical application work (0 = unpaced closed loop: the faster arm serves more gets and is charged their allocations)")
-	udpVariant := flag.String("udp-variant", "both", "udp mode: batch, single, or both (the ablation pair)")
+	udpRate := flag.Int("udp-rate", 500, "udp mode: gets/s per worker, a fixed application load (0 = unpaced closed loop: a faster wire serves more gets and is charged their allocations)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit (shard workers park at epoch barriers; this shows where)")
@@ -200,15 +198,10 @@ func main() {
 	if *scale == "" && (*shards != "0" || *budget != 0) {
 		fail("-shards and -budget require -scale")
 	}
-	if !*udp && (*udpFor != 5*time.Second || *udpWorkers != 8 || *udpRecords != 64 || *udpRate != 500 || *udpVariant != "both") {
-		fail("-udp-for, -udp-workers, -udp-records, -udp-rate and -udp-variant require -udp")
+	if !*udp && (*udpFor != 5*time.Second || *udpWorkers != 8 || *udpRecords != 64 || *udpRate != 500) {
+		fail("-udp-for, -udp-workers, -udp-records and -udp-rate require -udp")
 	}
 	if *udp {
-		switch *udpVariant {
-		case "both", "batch", "single":
-		default:
-			fail("-udp-variant must be both, batch or single (got %q)", *udpVariant)
-		}
 		if *n < 2 {
 			fail("udp mode needs -n >= 2 nodes")
 		}
@@ -221,7 +214,7 @@ func main() {
 		if *udpFor <= 0 {
 			fail("-udp-for must be positive")
 		}
-		runUDP(*udpVariant, *n, *udpWorkers, *udpRecords, *udpRate, *udpFor, *out)
+		runUDP(*n, *udpWorkers, *udpRecords, *udpRate, *udpFor, *out)
 		return
 	}
 	if *scale != "" {

@@ -57,10 +57,8 @@ func TestConflictingFlagsExit2(t *testing.T) {
 		{"stray-operand", []string{"extra"}},
 		{"udp-and-scale", []string{"-udp", "-scale", "500"}},
 		{"udp-and-compare", []string{"-udp", "-compare", "chord"}},
-		{"udp-variant-without-udp", []string{"-udp-variant", "batch"}},
 		{"udp-for-without-udp", []string{"-udp-for", "2s"}},
 		{"udp-workers-without-udp", []string{"-udp-workers", "4"}},
-		{"bad-udp-variant", []string{"-udp", "-udp-variant", "fast"}},
 		{"udp-one-node", []string{"-udp", "-n", "1"}},
 		{"udp-zero-workers", []string{"-udp", "-udp-workers", "0"}},
 		{"udp-negative-window", []string{"-udp", "-udp-for", "-1s"}},
@@ -135,7 +133,7 @@ func TestUDPBenchRow(t *testing.T) {
 	}
 	dir := t.TempDir()
 	out, code := runBench(t, "-udp", "-n", "3", "-udp-for", "500ms",
-		"-udp-workers", "1", "-udp-records", "2", "-udp-variant", "batch", "-out", dir)
+		"-udp-workers", "1", "-udp-records", "2", "-out", dir)
 	if code != 0 {
 		t.Fatalf("udp run exited %d\noutput:\n%s", code, out)
 	}
@@ -154,7 +152,7 @@ func TestUDPBenchRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 {
-		t.Fatalf("udp-bench.json has %d rows, want 1 (batch only):\n%s", len(rows), data)
+		t.Fatalf("udp-bench.json has %d rows, want 1:\n%s", len(rows), data)
 	}
 	r := rows[0]
 	if r.Workload != "udp" || r.N != 3 || r.Shards != 0 {

@@ -15,10 +15,9 @@ import (
 	"treep/internal/udptransport"
 )
 
-// udpResult is one variant's measurement over the real-socket cluster.
+// udpResult is one measurement over the real-socket cluster.
 type udpResult struct {
-	variant  string // "batch" or "single"
-	batched  bool   // whether the kernel batch path was actually active
+	batched  bool // whether the kernel batch path was actually active
 	nodes    int
 	wall     time.Duration
 	msgs     uint64 // datagrams sent across the cluster in the window
@@ -76,14 +75,12 @@ func sumStats(trs []*udptransport.Transport) udptransport.Snapshot {
 	return t
 }
 
-// runUDPVariant brings up an n-node loopback cluster, preloads records,
+// runUDPCluster brings up an n-node loopback cluster, preloads records,
 // drives DHT reads for the window and returns the wire-level measurement.
-// rate > 0 paces each worker to that many gets/s — both variants then
-// perform the same application work and allocs/msg compares the wire
-// planes like for like; rate 0 is closed-loop saturation, where the
-// faster arm serves more gets and is charged their allocations.
-func runUDPVariant(variant string, n, workers, records, rate int, window time.Duration) udpResult {
-	single := variant == "single"
+// rate > 0 paces each worker to that many gets/s, so allocs/msg charges
+// a fixed amount of application work; rate 0 is closed-loop saturation,
+// where a faster wire serves more gets and is charged their allocations.
+func runUDPCluster(n, workers, records, rate int, window time.Duration) udpResult {
 	trs := make([]*udptransport.Transport, 0, n)
 	svcs := make([]*dht.Service, n)
 	for i := 0; i < n; i++ {
@@ -94,7 +91,7 @@ func runUDPVariant(variant string, n, workers, records, rate int, window time.Du
 		// loop processes a tick, so the ping rate self-throttles to the
 		// data path's capacity — which is exactly what this benchmark
 		// measures). Failure detection is effectively disabled for the
-		// window: a saturated slow arm must score its real throughput, not
+		// window: a saturated node must score its real throughput, not
 		// drown the measurement in expiry/repair traffic it caused itself.
 		cfg.KeepAlive = 5 * time.Millisecond
 		cfg.EntryTTL = 60 * time.Second
@@ -103,8 +100,7 @@ func runUDPVariant(variant string, n, workers, records, rate int, window time.Du
 		cfg.ElectionMin = 50 * time.Millisecond
 		cfg.ElectionMax = 200 * time.Millisecond
 		cfg.LookupTimeout = 2 * time.Second
-		tr, err := udptransport.ListenOpts(cfg, "127.0.0.1:0", int64(i+1),
-			udptransport.Options{SingleDatagram: single})
+		tr, err := udptransport.Listen(cfg, "127.0.0.1:0", int64(i+1))
 		if err != nil {
 			fatal("udp: listen node %d: %v", i, err)
 		}
@@ -265,7 +261,6 @@ func runUDPVariant(variant string, n, workers, records, rate int, window time.Du
 	runtime.ReadMemStats(&ms)
 
 	return udpResult{
-		variant:  variant,
 		batched:  trs[0].Batched(),
 		nodes:    n,
 		wall:     wall,
@@ -283,21 +278,17 @@ func runUDPVariant(variant string, n, workers, records, rate int, window time.Du
 	}
 }
 
-// udpScalePoint converts one variant measurement into a scale-table row.
+// udpScalePoint converts the measurement into a scale-table row.
 // AllocsRun is normalised to allocations per 1000 messages: wall-clock
 // workloads are not event-deterministic, but the per-message allocation
 // cost is stable enough for benchguard's tolerance.
 func udpScalePoint(r udpResult) ScalePoint {
-	workload := "udp"
-	if r.variant == "single" {
-		workload = "udpsingle"
-	}
 	var allocsPerK uint64
 	if r.msgs > 0 {
 		allocsPerK = r.allocs * 1000 / r.msgs
 	}
 	return ScalePoint{
-		Workload:      workload,
+		Workload:      "udp",
 		N:             r.nodes,
 		MaxProcs:      runtime.GOMAXPROCS(0),
 		WallSec:       r.wall.Seconds(),
@@ -309,10 +300,10 @@ func udpScalePoint(r udpResult) ScalePoint {
 	}
 }
 
-// runUDP executes the real-socket benchmark: the requested variants run
-// sequentially on identical clusters and workloads, the before/after
-// table prints, and the rows export as udp-bench.{csv,json} under outDir.
-func runUDP(variant string, n, workers, records, rate int, window time.Duration, outDir string) {
+// runUDP executes the real-socket benchmark: one cluster runs the
+// workload, the table prints, and the row exports as udp-bench.{csv,json}
+// under outDir.
+func runUDP(n, workers, records, rate int, window time.Duration, outDir string) {
 	load := "closed-loop"
 	if rate > 0 {
 		load = fmt.Sprintf("%d gets/s each", rate)
@@ -320,54 +311,21 @@ func runUDP(variant string, n, workers, records, rate int, window time.Duration,
 	fmt.Printf("# Real-socket UDP bench — n=%d nodes, %d workers (%s), %d records, %v window, GOMAXPROCS=%d\n\n",
 		n, workers, load, records, window, runtime.GOMAXPROCS(0))
 
-	var results []udpResult
-	variants := []string{"batch", "single"}
-	if variant != "both" {
-		variants = []string{variant}
+	r := runUDPCluster(n, workers, records, rate, window)
+	path := "batch"
+	if !r.batched {
+		path = "single"
 	}
-	for _, v := range variants {
-		r := runUDPVariant(v, n, workers, records, rate, window)
-		if v == "batch" && !r.batched {
-			fmt.Printf("note: kernel batch path unavailable on this platform; \"batch\" ran the fallback\n")
-		}
-		results = append(results, r)
-		// A fresh cluster per variant: let the closed sockets drain and
-		// collect the previous cluster before measuring the next.
-		runtime.GC()
-		time.Sleep(200 * time.Millisecond)
+	fmt.Printf("| %6s | %5s | %9s | %9s | %12s | %10s | %7s | %6s |\n",
+		"path", "nodes", "msgs", "msgs/s", "syscalls/msg", "allocs/msg", "gets/s", "miss%")
+	fmt.Printf("| %6s | %5d | %9d | %9.0f | %12.3f | %10.1f | %7.0f | %6.2f |\n",
+		path, r.nodes, r.msgs, r.msgsPerSec(), r.syscallsPerMsg(),
+		r.allocsPerMsg(), float64(r.gets)/r.wall.Seconds(), r.missPct())
+	if r.decErrs > 0 || r.oversize > 0 {
+		fmt.Printf("note: %d decode errors, %d oversize rejects\n", r.decErrs, r.oversize)
 	}
 
-	fmt.Printf("| %7s | %5s | %9s | %9s | %12s | %10s | %7s | %6s |\n",
-		"variant", "nodes", "msgs", "msgs/s", "syscalls/msg", "allocs/msg", "gets/s", "miss%")
-	for _, r := range results {
-		fmt.Printf("| %7s | %5d | %9d | %9.0f | %12.3f | %10.1f | %7.0f | %6.2f |\n",
-			r.variant, r.nodes, r.msgs, r.msgsPerSec(), r.syscallsPerMsg(),
-			r.allocsPerMsg(), float64(r.gets)/r.wall.Seconds(), r.missPct())
-	}
-	for _, r := range results {
-		if r.decErrs > 0 || r.oversize > 0 {
-			fmt.Printf("note: %s variant saw %d decode errors, %d oversize rejects\n",
-				r.variant, r.decErrs, r.oversize)
-		}
-	}
-
-	points := make([]ScalePoint, 0, len(results))
-	for _, r := range results {
-		points = append(points, udpScalePoint(r))
-	}
-	if len(results) == 2 {
-		batch, single := results[0], results[1]
-		gainMsgs := batch.msgsPerSec() / single.msgsPerSec()
-		gainAllocs := single.allocsPerMsg() / batch.allocsPerMsg()
-		gainSys := single.syscallsPerMsg() / batch.syscallsPerMsg()
-		fmt.Printf("\nbatch vs single: %.2fx msgs/s, %.2fx fewer allocs/msg, %.2fx fewer syscalls/msg\n",
-			gainMsgs, gainAllocs, gainSys)
-		// The throughput gain rides in the udp row's speedup column so
-		// benchguard's speedup floor can gate it.
-		points[0].Speedup = gainMsgs
-	}
-
-	if err := writeScaleAs(outDir, "udp-bench", points); err != nil {
+	if err := writeScaleAs(outDir, "udp-bench", []ScalePoint{udpScalePoint(r)}); err != nil {
 		fatal("writing udp records: %v", err)
 	}
 	fmt.Printf("\nrecords: %s, %s\n",

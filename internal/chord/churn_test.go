@@ -41,13 +41,10 @@ func TestChordLookupUnderChurn(t *testing.T) {
 	ov := overlay.NewChord(150, 1)
 	ov.Run(8 * time.Second)
 
-	res, err := overlay.Play(ov, rand.New(rand.NewSource(42)),
+	res := scenario.NewBackendEngine(ov, rand.New(rand.NewSource(42))).Play(
 		scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2},
 		scenario.Settle{For: 12 * time.Second},
 	)
-	if err != nil {
-		t.Fatalf("Play: %v", err)
-	}
 	if res.Joins == 0 || res.Leaves == 0 {
 		t.Fatalf("churn injected %d joins, %d leaves; want both > 0", res.Joins, res.Leaves)
 	}
@@ -75,12 +72,9 @@ func TestChordLookupAfterZoneFailure(t *testing.T) {
 	ov := overlay.NewChord(150, 3)
 	ov.Run(8 * time.Second)
 
-	res, err := overlay.Play(ov, rand.New(rand.NewSource(4)),
+	res := scenario.NewBackendEngine(ov, rand.New(rand.NewSource(4))).Play(
 		scenario.ZoneFailure{Zone: scenario.ZoneFraction(0.40, 0.55), Settle: 10 * time.Second},
 	)
-	if err != nil {
-		t.Fatalf("Play: %v", err)
-	}
 	if res.ZoneKilled == 0 {
 		t.Fatal("zone failure killed nobody")
 	}

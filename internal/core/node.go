@@ -65,7 +65,7 @@ type Node struct {
 	lastSplit time.Duration
 
 	// Balancer load tracking (Config.Balancer): loadEWMA smooths the
-	// message rate observed between sweeps, normalised by LoadRef;
+	// message rate observed between sweeps, normalised by DefaultLoadRef;
 	// lastLoadMsgs/lastLoadAt are the previous sweep's counter snapshot;
 	// loadSweeps counts observations (see loadWarmupSweeps).
 	loadEWMA     nodeprof.EWMA
@@ -323,7 +323,7 @@ func (n *Node) updateLoad(now time.Duration) {
 	total := n.Stats.MsgsIn + n.Stats.MsgsOut
 	rate := float64(total-n.lastLoadMsgs) / dt.Seconds()
 	n.lastLoadMsgs, n.lastLoadAt = total, now
-	n.loadEWMA.Observe(rate / n.cfg.LoadRef)
+	n.loadEWMA.Observe(rate / DefaultLoadRef)
 	n.loadSweeps++
 }
 

@@ -134,7 +134,7 @@ type Service struct {
 	MaintainInterval time.Duration
 
 	// HotCache enables hot-key replica fan-out: owners count reads per
-	// key per maintenance window, and keys read at least HotThreshold
+	// key per maintenance window, and keys read at least hotThreshold
 	// times are pushed (fire-and-forget DHTReplicate) to their recent
 	// readers and the strongest ring contacts. Receivers outside the
 	// key's replica set file the copy in a bounded TTL'd cache instead of
@@ -145,11 +145,6 @@ type Service struct {
 	// default; the durability story is unchanged either way because
 	// cached copies never count as replicas.
 	HotCache bool
-	// HotThreshold is the reads-per-window level that marks an owned key
-	// hot (default 4 per 2s window — low on purpose: the owner only ever
-	// sees the reads its fan-out has NOT absorbed, and a key worth two
-	// full lookups a second is already worth a paced push).
-	HotThreshold int
 	// FanoutWidth caps how many reader-side copies one hot key maintains
 	// (default hotReaderSlots, so every remembered reader is covered — a
 	// reader outside the fan-out set re-fetches through the lookup
@@ -249,10 +244,15 @@ const (
 	hotReaderSlots = 64
 	// hotLinger is the warm lease: how many maintenance windows a
 	// fan-out set is kept refreshed after the last window that tripped
-	// HotThreshold. Long on purpose — a working fan-out hides its own
+	// hotThreshold. Long on purpose — a working fan-out hides its own
 	// demand from the owner, so a short lease would oscillate
 	// (fan → quiet → drop → burst → fan).
 	hotLinger = 30
+	// hotThreshold is the reads-per-window level that marks an owned key
+	// hot (4 per 2s window — low on purpose: the owner only ever sees the
+	// reads its fan-out has NOT absorbed, and a key worth two full
+	// lookups a second is already worth a paced push).
+	hotThreshold = 4
 	// fanoutNeighborSeed caps the capacity-weighted standby copies kept
 	// at ring contacts alongside the reader-side set.
 	fanoutNeighborSeed = 2
@@ -294,7 +294,6 @@ func AttachPlane(p *svc.Plane) *Service {
 		RequestTimeout:    2 * time.Second,
 		Retries:           2,
 		MaintainInterval:  2 * time.Second,
-		HotThreshold:      4,
 		FanoutWidth:       hotReaderSlots,
 		CacheTTL:          30 * time.Second,
 		cache:             map[idspace.ID]*cacheEntry{},
@@ -624,17 +623,6 @@ func (s *Service) dropHot(i int, k idspace.ID) {
 	s.hotKeys = append(s.hotKeys[:i], s.hotKeys[i+1:]...)
 }
 
-// fanoutTick runs once per maintenance window: reads are windowed, and
-// keys at or above HotThreshold (re)build their fan-out set and take a
-// long warm lease. A fanned-out key's cached copies absorb the reads
-// that would re-mark it hot — the owner goes quiet precisely because the
-// fan-out works — so the lease, not the owner-visible read rate, decides
-// how long copies are maintained: refresh pushes go out every
-// fanoutRefreshEvery windows (re-arming the readers' cache TTLs and
-// carrying any version the set has not seen), and when the lease runs
-// out the pushes stop, the copies age out, and genuinely surviving
-// demand re-trips the threshold within a window or two. Iteration is
-// over the sorted key slice, deterministic.
 // refreshHorizon fires one pure lookup (no fetch) at a deterministic
 // rotating coordinate. The reply's direct ref from a distant responder
 // is exactly the long-range table entry that ordinary lookup traffic
@@ -647,6 +635,17 @@ func (s *Service) refreshHorizon() {
 	s.node.Lookup(idspace.HashKey(b[:]), proto.AlgoG, func(core.LookupResult) {})
 }
 
+// fanoutTick runs once per maintenance window: reads are windowed, and
+// keys at or above hotThreshold (re)build their fan-out set and take a
+// long warm lease. A fanned-out key's cached copies absorb the reads
+// that would re-mark it hot — the owner goes quiet precisely because the
+// fan-out works — so the lease, not the owner-visible read rate, decides
+// how long copies are maintained: refresh pushes go out every
+// fanoutRefreshEvery windows (re-arming the readers' cache TTLs and
+// carrying any version the set has not seen), and when the lease runs
+// out the pushes stop, the copies age out, and genuinely surviving
+// demand re-trips the threshold within a window or two. Iteration is
+// over the sorted key slice, deterministic.
 func (s *Service) fanoutTick() {
 	i := 0
 	for i < len(s.hotKeys) {
@@ -661,7 +660,7 @@ func (s *Service) fanoutTick() {
 			s.dropHot(i, k)
 			continue
 		}
-		if reads >= s.HotThreshold {
+		if reads >= hotThreshold {
 			hk.cool = hotLinger
 			hk.fanout = s.fanoutTargets(k, hk)
 			hk.age = 0 // push immediately below, then every refresh interval

@@ -8,7 +8,7 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/nodeprof"
-	"treep/internal/proto"
+	"treep/internal/overlay"
 	"treep/internal/simrt"
 )
 
@@ -143,13 +143,7 @@ func LogNHops(ns []int, seed int64, lookups int) []HopsPoint {
 		c := simrt.New(simrt.Options{N: n, Seed: seed, Config: cfg, Bulk: true})
 		c.StartAll()
 		c.Run(8 * time.Second)
-		alive := c.AliveNodes()
-		rng := c.Rand()
-		pairs := make([][2]*core.Node, lookups)
-		for i := range pairs {
-			pairs[i] = [2]*core.Node{alive[rng.Intn(len(alive))], alive[rng.Intn(len(alive))]}
-		}
-		st := measure(c, pairs, proto.AlgoG)
+		st := sample(&overlay.TreeP{C: c}, drawPairs(c.Rand(), c.AliveCount(), lookups))
 		out = append(out, HopsPoint{
 			N:        n,
 			AvgHops:  st.Hops.Mean(),

@@ -73,8 +73,8 @@ func (o CompareOptions) withDefaults() (CompareOptions, error) {
 		o.Phases = phases
 	}
 	for _, ph := range o.Phases {
-		if !overlay.Supported(ph) {
-			return o, fmt.Errorf("phase %q is not supported by the comparative interpreter", ph.Name())
+		if !scenario.Portable(ph) {
+			return o, fmt.Errorf("phase %q needs a TreeP cluster; the comparative harness plays portable phases only", ph.Name())
 		}
 	}
 	if o.WarmUp == 0 {
@@ -217,17 +217,11 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 	var out []metrics.PhaseRecord
 	for idx, ph := range o.Phases {
 		before := ov.NetStats()
-		phaseStart := ov.Kernel().Now()
-		played, err := overlay.Play(ov, rng, ph)
-		if err != nil {
-			// withDefaults validated the script, so this only fires when
-			// Supported and the interpreter disagree — fail loudly rather
-			// than export records with silently missing rows.
-			return nil, err
-		}
+		phaseStart := ov.Now()
+		played := scenario.NewBackendEngine(ov, rng).Play(ph)
 		ov.MaintenanceTick()
 		maint := ov.NetStats()
-		phaseSecs := (ov.Kernel().Now() - phaseStart).Seconds()
+		phaseSecs := (ov.Now() - phaseStart).Seconds()
 
 		rec := metrics.PhaseRecord{
 			Backend:    ov.Name(),
@@ -244,7 +238,9 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 			MaintBytes: maint.Bytes - before.Bytes,
 			PhaseSecs:  phaseSecs,
 		}
-		measureLookups(ov, rng, o.LookupsPerPhase, &rec)
+		if rec.Alive >= 2 {
+			fillLookups(&rec, sample(ov, drawPairs(rng, rec.Alive, o.LookupsPerPhase)))
+		}
 		rec.StateSize = ov.StateSize()
 		if rec.Alive > 0 {
 			rec.StatePerNode = float64(rec.StateSize) / float64(rec.Alive)
@@ -254,36 +250,13 @@ func runCompareTrial(o CompareOptions, backend string, seed int64) ([]metrics.Ph
 	return out, nil
 }
 
-// measureLookups issues lookups between random live pairs, advances
-// virtual time until all have resolved or timed out, and fills the
-// record's lookup fields plus the measurement-window traffic delta.
-func measureLookups(ov overlay.Overlay, rng *rand.Rand, lookups int, rec *metrics.PhaseRecord) {
-	ids := ov.AliveIDs()
-	if len(ids) < 2 {
-		return
-	}
-	before := ov.NetStats()
-	hops := &metrics.Histogram{}
-	var latencySum time.Duration
-	for i := 0; i < lookups; i++ {
-		origin := rng.Intn(len(ids))
-		target := ids[rng.Intn(len(ids))]
-		ov.Lookup(origin, target, func(r overlay.Outcome) {
-			rec.Lookups++
-			if r.Found {
-				rec.Found++
-				hops.Observe(r.Hops)
-				latencySum += r.Latency
-			}
-		})
-	}
-	window := ov.LookupWindow()
-	ov.Run(window)
-	after := ov.NetStats()
-
-	rec.LookupMsgs = after.Sent - before.Sent
-	rec.LookupBytes = after.Bytes - before.Bytes
-	rec.WindowSecs = window.Seconds()
+// fillLookups fills the record's lookup columns from one lookup batch.
+func fillLookups(rec *metrics.PhaseRecord, t *AlgoStep) {
+	rec.Lookups = t.Found + t.Failed()
+	rec.Found = t.Found
+	rec.LookupMsgs = t.Msgs
+	rec.LookupBytes = t.Bytes
+	rec.WindowSecs = t.Window.Seconds()
 	if rec.Lookups > 0 {
 		rec.FailPct = 100 * float64(rec.Lookups-rec.Found) / float64(rec.Lookups)
 		rec.MsgsPerLookup = float64(rec.LookupMsgs) / float64(rec.Lookups)
@@ -300,10 +273,10 @@ func measureLookups(ov overlay.Overlay, rng *rand.Rand, lookups int, rec *metric
 		rec.NetMsgsPerLookup = net / float64(rec.Lookups)
 	}
 	if rec.Found > 0 {
-		rec.HopMean = hops.Mean()
-		rec.HopP50 = hops.Percentile(0.50)
-		rec.HopP99 = hops.Percentile(0.99)
-		rec.LatencyMeanMs = float64(latencySum.Milliseconds()) / float64(rec.Found)
+		rec.HopMean = t.Hops.Mean()
+		rec.HopP50 = t.Hops.Percentile(0.50)
+		rec.HopP99 = t.Hops.Percentile(0.99)
+		rec.LatencyMeanMs = float64(t.LatencySum.Milliseconds()) / float64(rec.Found)
 	}
 }
 

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -180,6 +182,38 @@ func TestRunCompareRejectsBadConfig(t *testing.T) {
 	for _, name := range CompareScenarios {
 		if _, err := ComparePhases(name, 100); err != nil {
 			t.Errorf("ComparePhases(%q): %v", name, err)
+		}
+	}
+}
+
+// compareDigests are the SHA-256 digests of the CSV export of RunCompare
+// for each scenario at N=80, seed 1, 40 lookups per phase, all backends.
+// They pin the comparative harness end to end: phase interpretation,
+// event and lookup draws, and record filling. A change that moves any of
+// them changes every published comparison, and must say so.
+var compareDigests = map[string]string{
+	"churn":      "8fef7b423be18754d8cf177a4cd054fbd75ad6069388fb2c512de19159a0431c",
+	"flashcrowd": "65508e4986ff97ce8b98a1cd940ef7270b1f10b6c808b5058a800c0557371ba1",
+	"zonefail":   "884154a8e19d1cf13ee0419e4c408b1d870be9e3a5133b24aae7c6aa5af3117a",
+	"partition":  "acdde5b720f8051a0660977a6d4d285c95b2eeb0d3c039caab09fe6703637fd6",
+}
+
+// TestRunCompareDigestsPinned replays every comparative scenario and
+// checks its records byte for byte against the pinned digests.
+func TestRunCompareDigestsPinned(t *testing.T) {
+	for _, scen := range CompareScenarios {
+		res, err := RunCompare(CompareOptions{
+			N: 80, Seeds: []int64{1}, Scenario: scen, LookupsPerPhase: 40,
+		})
+		if err != nil {
+			t.Fatalf("%s: RunCompare: %v", scen, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Recorder.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != compareDigests[scen] {
+			t.Errorf("%s: CSV digest %s, want %s\n%s", scen, got, compareDigests[scen], buf.String())
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package experiment
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"treep/internal/metrics"
 	"treep/internal/netsim"
 	"treep/internal/nodeprof"
+	"treep/internal/overlay"
 	"treep/internal/proto"
 	"treep/internal/routing"
 	"treep/internal/simrt"
@@ -93,13 +95,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// AlgoStep holds one algorithm's measurements at one kill level.
+// AlgoStep is the tally of one lookup batch (see sample): one algorithm's
+// measurements at one kill level or phase boundary.
 type AlgoStep struct {
 	Found    int
 	NotFound int
 	Timeout  int
 	// Hops is the hop histogram of successful lookups.
 	Hops *metrics.Histogram
+	// LatencySum totals the resolution latency of successful lookups.
+	LatencySum time.Duration
+	// Msgs and Bytes are the network traffic sent during the lookup
+	// window (lookup routing plus the background maintenance that keeps
+	// running), Window that window's virtual length.
+	Msgs, Bytes uint64
+	Window      time.Duration
 }
 
 // Failed returns the failed-lookup count.
@@ -180,6 +190,7 @@ func runTrial(o Options, seed int64) Trial {
 
 	trial := Trial{Seed: seed}
 	rng := c.Rand()
+	tp := &overlay.TreeP{C: c}
 	killed := 0
 
 	for frac := o.KillStep; frac <= o.MaxKill+1e-9; frac += o.KillStep {
@@ -193,53 +204,63 @@ func runTrial(o Options, seed int64) Trial {
 		}
 		c.Run(o.Settle)
 
-		alive := c.AliveNodes()
-		if len(alive) < 2 {
+		alive := c.AliveCount()
+		if alive < 2 {
 			break
 		}
-		step := Step{
+		trial.Steps = append(trial.Steps, Step{
 			KillPct:    int(frac*100 + 0.5),
-			Alive:      len(alive),
+			Alive:      alive,
 			Partitions: countPartitions(c),
-			PerAlgo:    map[proto.Algo]*AlgoStep{},
-		}
-
-		// The same origin/target pairs are measured under every algorithm
-		// so their curves are comparable.
-		pairs := make([][2]*core.Node, o.LookupsPerStep)
-		for i := range pairs {
-			pairs[i] = [2]*core.Node{
-				alive[rng.Intn(len(alive))],
-				alive[rng.Intn(len(alive))],
-			}
-		}
-		for _, algo := range o.Algos {
-			step.PerAlgo[algo] = measure(c, pairs, algo)
-		}
-		trial.Steps = append(trial.Steps, step)
+			PerAlgo:    sampleAlgos(tp, drawPairs(rng, alive, o.LookupsPerStep), o.Algos),
+		})
 	}
 	return trial
 }
 
-// measure issues the lookups and advances virtual time until every one has
-// resolved or timed out. On a sharded cluster each completion callback
-// runs on its origin node's shard worker, so the shared tallies take a
+// drawPairs draws n (origin, target) index pairs over a live population of
+// the given size, origin first.
+func drawPairs(rng *rand.Rand, alive, n int) [][2]int {
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(alive), rng.Intn(alive)}
+	}
+	return pairs
+}
+
+// sampleAlgos measures the same pairs under every algorithm, so their
+// curves are comparable.
+func sampleAlgos(tp *overlay.TreeP, pairs [][2]int, algos []proto.Algo) map[proto.Algo]*AlgoStep {
+	out := make(map[proto.Algo]*AlgoStep, len(algos))
+	for _, algo := range algos {
+		tp.Algo = algo
+		out[algo] = sample(tp, pairs)
+	}
+	return out
+}
+
+// sample is the one lookup-measurement loop. It issues one lookup per
+// pair — both indices into the overlay's current AliveIDs — advances the
+// lookup window so every one resolves or times out, and tallies the
+// outcomes and the window's traffic. On a sharded cluster each completion
+// callback runs on its origin node's shard worker, so the tally takes a
 // lock; counters and histogram merges are commutative, so completion
 // order cannot leak into the results.
-func measure(c *simrt.Cluster, pairs [][2]*core.Node, algo proto.Algo) *AlgoStep {
+func sample(ov overlay.Overlay, pairs [][2]int) *AlgoStep {
+	ids := ov.AliveIDs()
 	out := &AlgoStep{Hops: &metrics.Histogram{}}
 	var mu sync.Mutex
+	before := ov.NetStats()
 	for _, p := range pairs {
-		origin, target := p[0], p[1]
-		targetID := target.ID()
-		origin.Lookup(targetID, algo, func(r core.LookupResult) {
+		ov.Lookup(p[0], ids[p[1]], func(r overlay.Outcome) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case r.Status == core.LookupFound && r.Best.ID == targetID:
+			case r.Found:
 				out.Found++
 				out.Hops.Observe(r.Hops)
-			case r.Status == core.LookupTimeout:
+				out.LatencySum += r.Latency
+			case r.Timeout:
 				out.Timeout++
 			default:
 				// NotFound, or resolved to a different owner: the ID was
@@ -248,8 +269,10 @@ func measure(c *simrt.Cluster, pairs [][2]*core.Node, algo proto.Algo) *AlgoStep
 			}
 		})
 	}
-	timeout := c.Nodes[0].Config().LookupTimeout
-	c.Run(timeout + time.Second)
+	out.Window = ov.LookupWindow()
+	ov.Run(out.Window)
+	after := ov.NetStats()
+	out.Msgs, out.Bytes = after.Sent-before.Sent, after.Bytes-before.Bytes
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"treep/internal/core"
 	"treep/internal/metrics"
+	"treep/internal/overlay"
 	"treep/internal/proto"
 	"treep/internal/scenario"
 	"treep/internal/simrt"
@@ -155,26 +156,16 @@ func runScenarioTrial(o ScenarioOptions, seed int64) ScenarioTrial {
 	})
 	trial := ScenarioTrial{Seed: seed}
 	rng := c.Rand()
+	tp := &overlay.TreeP{C: c}
 	for _, ph := range o.Phases {
 		trial.Result = eng.Play(ph)
-		alive := c.AliveNodes()
 		step := PhaseStep{
 			Phase:      ph.Name(),
-			Alive:      len(alive),
+			Alive:      c.AliveCount(),
 			Violations: len(trial.Result.Final),
-			PerAlgo:    map[proto.Algo]*AlgoStep{},
 		}
-		if len(alive) >= 2 {
-			pairs := make([][2]*core.Node, o.LookupsPerPhase)
-			for i := range pairs {
-				pairs[i] = [2]*core.Node{
-					alive[rng.Intn(len(alive))],
-					alive[rng.Intn(len(alive))],
-				}
-			}
-			for _, algo := range o.Algos {
-				step.PerAlgo[algo] = measure(c, pairs, algo)
-			}
+		if step.Alive >= 2 {
+			step.PerAlgo = sampleAlgos(tp, drawPairs(rng, step.Alive, o.LookupsPerPhase), o.Algos)
 		}
 		trial.Steps = append(trial.Steps, step)
 	}

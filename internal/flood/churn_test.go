@@ -40,13 +40,10 @@ func TestFloodLookupUnderChurn(t *testing.T) {
 	ov := overlay.NewFlood(150, 0, 0, 1)
 	ov.Run(4 * time.Second)
 
-	res, err := overlay.Play(ov, rand.New(rand.NewSource(42)),
+	res := scenario.NewBackendEngine(ov, rand.New(rand.NewSource(42))).Play(
 		scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2},
 		scenario.Settle{For: 6 * time.Second},
 	)
-	if err != nil {
-		t.Fatalf("Play: %v", err)
-	}
 	if res.Joins == 0 || res.Leaves == 0 {
 		t.Fatalf("churn injected %d joins, %d leaves; want both > 0", res.Joins, res.Leaves)
 	}
@@ -68,12 +65,9 @@ func TestFloodRewireAfterZoneFailure(t *testing.T) {
 	ov := overlay.NewFlood(150, 0, 0, 3)
 	ov.Run(4 * time.Second)
 
-	res, err := overlay.Play(ov, rand.New(rand.NewSource(4)),
+	res := scenario.NewBackendEngine(ov, rand.New(rand.NewSource(4))).Play(
 		scenario.ZoneFailure{Zone: scenario.ZoneFraction(0.35, 0.60), Settle: 4 * time.Second},
 	)
-	if err != nil {
-		t.Fatalf("Play: %v", err)
-	}
 	if res.ZoneKilled == 0 {
 		t.Fatal("zone failure killed nobody")
 	}

@@ -10,24 +10,18 @@
 //     lookup / maintenance-tick, plus partition injection and state
 //     accounting). Adapters: TreeP, Chord, Flood.
 //   - Outcome — one lookup's origin-observed result, normalised across
-//     protocols (found / hops / latency).
-//   - PlayResult — the event accounting of a scenario script interpreted
-//     against a backend by Play.
+//     protocols (found / timed out / hops / latency).
 //
-// Play re-uses the phase scripts of internal/scenario (Settle, Churn,
-// FlashCrowd, ZoneFailure, PartitionHeal) and interprets them through the
-// Overlay interface, so all backends absorb the *same* workload timeline:
-// event times and intensities come from a caller-owned RNG, which the
-// comparative runner re-seeds identically per backend.
+// An Overlay satisfies scenario.Backend, so the scenario engine plays the
+// portable phases (Settle, Churn, FlashCrowd, ZoneFailure, PartitionHeal)
+// against every backend with one interpreter.
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"treep/internal/idspace"
 	"treep/internal/netsim"
-	"treep/internal/sim"
 )
 
 // Outcome is one lookup's origin-observed result, normalised across
@@ -35,6 +29,9 @@ import (
 type Outcome struct {
 	// Found reports whether the lookup resolved to the exact target node.
 	Found bool
+	// Timeout reports that the lookup gave up waiting for a reply (TreeP
+	// only; the baselines report every miss as not found).
+	Timeout bool
 	// Hops is the overlay forward count of a successful lookup.
 	Hops int
 	// Latency is the origin-observed virtual time to resolution.
@@ -42,13 +39,14 @@ type Outcome struct {
 }
 
 // Overlay is a routed peer-to-peer network under test. One Overlay owns
-// one sim.Kernel and one netsim.Network; all state mutation happens on the
-// kernel's event loop, so an Overlay is not safe for concurrent use.
+// one simulation clock and one netsim.Network; all state mutation happens
+// on the simulation's event loop, so an Overlay is not safe for
+// concurrent use.
 type Overlay interface {
 	// Name identifies the backend in records ("treep", "chord", "flood").
 	Name() string
-	// Kernel exposes the simulation clock the overlay runs on.
-	Kernel() *sim.Kernel
+	// Now returns the overlay's virtual clock.
+	Now() time.Duration
 	// NetStats returns the network's cumulative message accounting;
 	// callers diff snapshots to charge traffic to phases.
 	NetStats() netsim.Stats
@@ -93,22 +91,3 @@ type Overlay interface {
 	// nodes (the per-protocol "memory cost" metric).
 	StateSize() int
 }
-
-// runUntil advances the overlay's clock to the absolute virtual time t.
-func runUntil(ov Overlay, t time.Duration) {
-	if d := t - ov.Kernel().Now(); d > 0 {
-		ov.Run(d)
-	}
-}
-
-// expDelay draws a Poisson inter-arrival gap for the given events/second
-// rate from rng; a non-positive rate means the event never fires.
-func expDelay(rng *rand.Rand, rate float64) time.Duration {
-	if rate <= 0 {
-		return maxDuration
-	}
-	return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-}
-
-// maxDuration is "never" for next-event bookkeeping.
-const maxDuration = time.Duration(1<<63 - 1)

@@ -1,21 +1,29 @@
-package overlay
+package overlay_test
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"treep/internal/experiment"
+	"treep/internal/overlay"
 	"treep/internal/scenario"
 )
 
 // backends builds one small instance of every adapter.
-func backends(t *testing.T, n int, seed int64) []Overlay {
+func backends(t *testing.T, n int, seed int64) []overlay.Overlay {
 	t.Helper()
-	return []Overlay{
-		NewTreeP(n, seed),
-		NewChord(n, seed),
-		NewFlood(n, 0, 0, seed),
+	return []overlay.Overlay{
+		overlay.NewTreeP(n, seed),
+		overlay.NewChord(n, seed),
+		overlay.NewFlood(n, 0, 0, seed),
 	}
+}
+
+// play runs the phases through the scenario engine's backend seam, with
+// event gaps drawn from a stream seeded by seed.
+func play(ov overlay.Overlay, seed int64, phases ...scenario.Phase) *scenario.Result {
+	return scenario.NewBackendEngine(ov, rand.New(rand.NewSource(seed))).Play(phases...)
 }
 
 // TestConformanceSteadyState: every backend resolves lookups between live
@@ -35,7 +43,7 @@ func TestConformanceSteadyState(t *testing.T) {
 		for i := 0; i < issued; i++ {
 			origin := rng.Intn(len(ids))
 			target := ids[rng.Intn(len(ids))]
-			ov.Lookup(origin, target, func(r Outcome) {
+			ov.Lookup(origin, target, func(r overlay.Outcome) {
 				if r.Found {
 					found++
 				}
@@ -51,7 +59,7 @@ func TestConformanceSteadyState(t *testing.T) {
 	}
 }
 
-// TestPlayChurnTimeline: the interpreter injects the same churn schedule
+// TestPlayChurnTimeline: the engine injects the same churn schedule
 // into every backend (identically seeded RNGs draw identical event times)
 // and each backend keeps resolving lookups afterwards.
 func TestPlayChurnTimeline(t *testing.T) {
@@ -59,18 +67,14 @@ func TestPlayChurnTimeline(t *testing.T) {
 		scenario.Churn{For: 8 * time.Second, JoinRate: 2, LeaveRate: 2},
 		scenario.Settle{For: 8 * time.Second},
 	}
-	var events []PlayResult
+	var events []scenario.Result
 	for _, ov := range backends(t, 100, 3) {
 		ov.Run(4 * time.Second)
-		rng := rand.New(rand.NewSource(99))
-		res, err := Play(ov, rng, script...)
-		if err != nil {
-			t.Fatalf("%s: Play: %v", ov.Name(), err)
-		}
+		res := play(ov, 99, script...)
 		if res.Joins == 0 && res.Leaves == 0 {
 			t.Errorf("%s: churn injected no events", ov.Name())
 		}
-		events = append(events, res)
+		events = append(events, *res)
 		ov.MaintenanceTick()
 
 		ids := ov.AliveIDs()
@@ -79,7 +83,7 @@ func TestPlayChurnTimeline(t *testing.T) {
 		for i := 0; i < issued; i++ {
 			origin := rng2.Intn(len(ids))
 			target := ids[rng2.Intn(len(ids))]
-			ov.Lookup(origin, target, func(r Outcome) {
+			ov.Lookup(origin, target, func(r overlay.Outcome) {
 				if r.Found {
 					found++
 				}
@@ -94,8 +98,8 @@ func TestPlayChurnTimeline(t *testing.T) {
 	// every backend.
 	for i := 1; i < len(events); i++ {
 		if events[i].Joins != events[0].Joins || events[i].Leaves != events[0].Leaves {
-			t.Errorf("backend %d saw %+v events, backend 0 saw %+v — timelines diverged",
-				i, events[i], events[0])
+			t.Errorf("backend %d saw %d joins/%d leaves, backend 0 saw %d/%d — timelines diverged",
+				i, events[i].Joins, events[i].Leaves, events[0].Joins, events[0].Leaves)
 		}
 	}
 }
@@ -108,10 +112,7 @@ func TestPlayZoneFailure(t *testing.T) {
 	}
 	for _, ov := range backends(t, 100, 5) {
 		ov.Run(4 * time.Second)
-		res, err := Play(ov, rand.New(rand.NewSource(11)), script...)
-		if err != nil {
-			t.Fatalf("%s: Play: %v", ov.Name(), err)
-		}
+		res := play(ov, 11, script...)
 		if res.ZoneKilled == 0 {
 			t.Errorf("%s: zone failure killed nobody", ov.Name())
 		}
@@ -125,7 +126,7 @@ func TestPlayZoneFailure(t *testing.T) {
 		for i := 0; i < issued; i++ {
 			origin := rng.Intn(len(ids))
 			target := ids[rng.Intn(len(ids))]
-			ov.Lookup(origin, target, func(r Outcome) {
+			ov.Lookup(origin, target, func(r overlay.Outcome) {
 				if r.Found {
 					found++
 				}
@@ -143,12 +144,7 @@ func TestPlayZoneFailure(t *testing.T) {
 func TestPlayPartitionHeal(t *testing.T) {
 	for _, ov := range backends(t, 100, 9) {
 		ov.Run(4 * time.Second)
-		res, err := Play(ov, rand.New(rand.NewSource(17)),
-			scenario.PartitionHeal{Hold: 6 * time.Second, Heal: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("%s: Play: %v", ov.Name(), err)
-		}
-		_ = res
+		play(ov, 17, scenario.PartitionHeal{Hold: 6 * time.Second, Heal: 10 * time.Second})
 		ov.MaintenanceTick()
 		ids := ov.AliveIDs()
 		rng := rand.New(rand.NewSource(19))
@@ -156,7 +152,7 @@ func TestPlayPartitionHeal(t *testing.T) {
 		for i := 0; i < issued; i++ {
 			origin := rng.Intn(len(ids))
 			target := ids[rng.Intn(len(ids))]
-			ov.Lookup(origin, target, func(r Outcome) {
+			ov.Lookup(origin, target, func(r overlay.Outcome) {
 				if r.Found {
 					found++
 				}
@@ -169,17 +165,28 @@ func TestPlayPartitionHeal(t *testing.T) {
 	}
 }
 
-// TestPlayRejectsUnsupportedPhase: TreeP-specific phases are refused, not
-// silently skipped.
+// TestPlayRejectsUnsupportedPhase: TreeP-specific phases are refused on
+// the baselines before any trial runs, not silently skipped.
 func TestPlayRejectsUnsupportedPhase(t *testing.T) {
-	ov := NewFlood(20, 0, 0, 1)
-	if _, err := Play(ov, rand.New(rand.NewSource(1)), scenario.RevivalWave{Over: time.Second}); err == nil {
-		t.Fatal("Play accepted RevivalWave; want an unsupported-phase error")
+	for _, backend := range []string{"chord", "flood"} {
+		_, err := experiment.RunCompare(experiment.CompareOptions{
+			N: 20, Seeds: []int64{1}, Backends: []string{backend},
+			Phases: []scenario.Phase{scenario.RevivalWave{Over: time.Second}},
+		})
+		if err == nil {
+			t.Errorf("%s: RunCompare accepted RevivalWave; want an unsupported-phase error", backend)
+		}
 	}
-	if Supported(scenario.RevivalWave{}) {
-		t.Error("Supported(RevivalWave) = true, want false")
+	if scenario.Portable(scenario.RevivalWave{}) {
+		t.Error("Portable(RevivalWave) = true, want false")
 	}
-	if !Supported(scenario.Churn{}) {
-		t.Error("Supported(Churn) = false, want true")
+	if !scenario.Portable(scenario.Churn{}) {
+		t.Error("Portable(Churn) = false, want true")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a backend engine played RevivalWave; want a panic")
+		}
+	}()
+	play(overlay.NewFlood(20, 0, 0, 1), 1, scenario.RevivalWave{Over: time.Second})
 }

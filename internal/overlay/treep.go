@@ -8,19 +8,22 @@ import (
 	"treep/internal/idspace"
 	"treep/internal/netsim"
 	"treep/internal/proto"
-	"treep/internal/sim"
 	"treep/internal/simrt"
 )
 
 // TreeP adapts a simrt.Cluster (the paper's overlay) to the Overlay
-// interface. Lookups use algorithm G — the paper's baseline greedy
-// algorithm — so the cross-protocol comparison measures the architecture,
-// not the smartest retry strategy.
+// interface. It holds no state of its own beyond the fields below, so any
+// number of adapters may wrap one cluster.
 type TreeP struct {
 	C *simrt.Cluster
-
-	algo proto.Algo
-	rng  *rand.Rand
+	// Algo is the lookup algorithm. The zero value is algorithm G — the
+	// paper's baseline greedy algorithm — so the cross-protocol comparison
+	// measures the architecture, not the smartest retry strategy.
+	Algo proto.Algo
+	// Victims draws the node each Leave fail-stops; only Leave uses it.
+	Victims *rand.Rand
+	// OnJoin, when set, sees every node Join spawns.
+	OnJoin func(*core.Node)
 }
 
 // NewTreeP builds a bulk-initialised, started TreeP cluster of n nodes.
@@ -32,14 +35,14 @@ func NewTreeP(n int, seed int64) *TreeP {
 		Bulk:   true,
 	})
 	c.StartAll()
-	return &TreeP{C: c, algo: proto.AlgoG, rng: c.Kernel.Stream(0x6f766c79)} // "ovly"
+	return &TreeP{C: c, Victims: c.Stream(0x6f766c79)} // "ovly"
 }
 
 // Name implements Overlay.
 func (t *TreeP) Name() string { return "treep" }
 
-// Kernel implements Overlay.
-func (t *TreeP) Kernel() *sim.Kernel { return t.C.Kernel }
+// Now implements Overlay.
+func (t *TreeP) Now() time.Duration { return t.C.Now() }
 
 // NetStats implements Overlay.
 func (t *TreeP) NetStats() netsim.Stats { return t.C.Net.Stats() }
@@ -59,7 +62,13 @@ func (t *TreeP) AliveIDs() []idspace.ID {
 
 // Join implements Overlay: spawn a fresh node and bootstrap it through a
 // live peer (the protocol's dynamic join).
-func (t *TreeP) Join() bool { return t.C.SpawnJoin() != nil }
+func (t *TreeP) Join() bool {
+	n := t.C.SpawnJoin()
+	if n != nil && t.OnJoin != nil {
+		t.OnJoin(n)
+	}
+	return n != nil
+}
 
 // Leave implements Overlay.
 func (t *TreeP) Leave() bool {
@@ -67,7 +76,7 @@ func (t *TreeP) Leave() bool {
 	if len(alive) <= 2 {
 		return false
 	}
-	t.C.Kill(alive[t.rng.Intn(len(alive))])
+	t.C.Kill(alive[t.Victims.Intn(len(alive))])
 	return true
 }
 
@@ -102,9 +111,10 @@ func (t *TreeP) Lookup(origin int, target idspace.ID, cb func(Outcome)) {
 		return
 	}
 	n := alive[origin%len(alive)]
-	n.Lookup(target, t.algo, func(r core.LookupResult) {
+	n.Lookup(target, t.Algo, func(r core.LookupResult) {
 		cb(Outcome{
 			Found:   r.Status == core.LookupFound && r.Best.ID == target,
+			Timeout: r.Status == core.LookupTimeout,
 			Hops:    r.Hops,
 			Latency: r.Latency,
 		})

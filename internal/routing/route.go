@@ -60,20 +60,10 @@ type Params struct {
 	// switches to plain Euclidean distance (§III.f: "a request that has a
 	// higher TTL means that the network is unstable and/or disrupted").
 	Height uint8
-	// MaxAlternates caps the NGSA fall-back list ("at the expense of
-	// adding data to the request").
-	MaxAlternates int
-	// PreferHighScore biases algorithm G's next-hop choice toward
-	// higher-capability candidates: among candidates that already satisfy
-	// the halving rule, the highest advertised score wins instead of the
-	// strictly nearest. Distance ordering is otherwise untouched — every
-	// forward still makes at least halving progress, so loop-freedom and
-	// termination are exactly as without the bias. Set by core when the
-	// capacity balancer is on.
-	PreferHighScore bool
 }
 
-// DefaultMaxAlternates bounds the NGSA list when Params leaves it zero.
+// DefaultMaxAlternates caps the NGSA fall-back list ("at the expense of
+// adding data to the request").
 const DefaultMaxAlternates = 8
 
 // Scratch holds reusable buffers for the routing decision. A node (or any
@@ -230,30 +220,7 @@ func routeGreedy(self proto.NodeRef, req *proto.LookupRequest, model Model, cand
 	if bestD < dSelf {
 		switch {
 		case bestD <= dSelf/2:
-			// The halving-distance jump of Figure 4. With the balancer's
-			// score preference on, any candidate inside the halving radius
-			// is an equally valid geometric jump, so the strongest one
-			// takes the traffic: load concentrates on nodes advertising
-			// head-room instead of whichever peer is marginally nearest.
-			// cands is distance-sorted with deterministic tiebreaks, so
-			// the choice is deterministic too.
-			if p.PreferHighScore {
-				// Divert to a stronger candidate only among near-ties:
-				// remaining distance within 12.5% of the true nearest.
-				// Opt-in: even this bounded window measurably stretches
-				// mean path length (wider windows are worse), which is
-				// why the load balancer does not enable it by default.
-				nearD := bestD
-				for _, c := range cands {
-					d := model.D(c, x)
-					if d > dSelf/2 || d > nearD+nearD/8 {
-						continue
-					}
-					if c.Score > best.Score {
-						best, bestD = c, d
-					}
-				}
-			}
+			// The halving-distance jump of Figure 4.
 			return Step{Action: Forward, Next: best, Alternates: req.Alternates}
 		case self.MaxLevel == 0:
 			// "ELSE IF Level_A == 0 THEN forward the request to N":
@@ -288,7 +255,7 @@ func routeNG(self proto.NodeRef, req *proto.LookupRequest, model Model, cands []
 	}
 	out := req.Alternates
 	if collectAlternates {
-		out = mergeAlternates(req.Alternates, alternates, maxAlternates(p))
+		out = mergeAlternates(req.Alternates, alternates, DefaultMaxAlternates)
 	}
 	return Step{Action: Forward, Next: first, Alternates: out}
 }
@@ -502,13 +469,6 @@ func mergeAlternates(old, fresh []proto.NodeRef, max int) []proto.NodeRef {
 		out = out[:max]
 	}
 	return out
-}
-
-func maxAlternates(p Params) int {
-	if p.MaxAlternates > 0 {
-		return p.MaxAlternates
-	}
-	return DefaultMaxAlternates
 }
 
 // sortByDistanceTo orders refs by Euclidean distance to x (ties by ID then

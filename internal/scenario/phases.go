@@ -37,7 +37,7 @@ func (Churn) Name() string { return "churn" }
 
 // Run implements Phase.
 func (c Churn) Run(e *Engine) {
-	now := e.C.Now()
+	now := e.b.Now()
 	end := now + c.For
 	nextJoin, nextLeave := maxDuration, maxDuration
 	if d := e.expDelay(c.JoinRate); d < maxDuration {
@@ -105,12 +105,7 @@ func (ZoneFailure) Name() string { return "zone-failure" }
 
 // Run implements Phase.
 func (z ZoneFailure) Run(e *Engine) {
-	for _, n := range e.C.AliveNodes() {
-		if z.Zone.Contains(n.ID()) {
-			e.C.Kill(n)
-			e.res.ZoneKilled++
-		}
-	}
+	e.res.ZoneKilled += e.b.KillZone(z.Zone)
 	e.advance(z.Settle)
 }
 
@@ -142,9 +137,9 @@ func (p PartitionHeal) Run(e *Engine) {
 	if at == 0 {
 		at = idspace.MaxID / 2
 	}
-	e.C.Partition(at)
+	e.b.Partition(at)
 	e.advance(p.Hold)
-	e.C.Heal()
+	e.b.Heal()
 	e.advance(p.Heal)
 }
 

@@ -22,17 +22,54 @@
 //		scenario.Settle{For: 10 * time.Second},
 //	)
 //	if len(res.Final) > 0 { ... }
+//
+// The engine is the one interpreter of the phase language. The portable
+// phases (see Portable) reach the overlay only through the Backend seam,
+// so NewBackendEngine plays them against any overlay.Overlay — the Chord
+// and flooding baselines of the comparative harness included.
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
+	"treep/internal/idspace"
+	"treep/internal/overlay"
 	"treep/internal/simrt"
 )
 
 // maxDuration is "never" for next-event bookkeeping.
 const maxDuration = time.Duration(1<<63 - 1)
+
+// Backend is the seam the portable phases drive: the clock, membership
+// changes and partitions of an overlay. overlay.Overlay satisfies it.
+type Backend interface {
+	Now() time.Duration
+	Run(d time.Duration)
+	AliveCount() int
+	// Join spawns and bootstraps one node, reporting whether it could.
+	Join() bool
+	// Leave fail-stops one live node chosen by the backend's own stream,
+	// reporting whether it did (never below two live nodes).
+	Leave() bool
+	KillZone(zone idspace.Region) int
+	Partition(split idspace.ID)
+	Heal()
+}
+
+// Portable reports whether a phase drives only the Backend seam, and so
+// runs on any overlay. The others need a TreeP cluster: RevivalWave
+// revives nodes with their stale protocol state, IslandsMerge splits by
+// transport address and bridges through one node's Join, and the storage
+// and skewed-read phases drive per-node DHT services.
+func Portable(ph Phase) bool {
+	switch ph.(type) {
+	case Settle, Churn, FlashCrowd, ZoneFailure, PartitionHeal:
+		return true
+	}
+	return false
+}
 
 // Phase is one segment of a scenario timeline. A phase advances the
 // cluster's virtual clock as it runs; the engine samples invariants on the
@@ -103,8 +140,11 @@ type Result struct {
 
 // Engine plays phases against a cluster and samples invariants.
 type Engine struct {
+	// C is the TreeP cluster under test; nil on an engine built by
+	// NewBackendEngine, which plays portable phases only.
 	C *simrt.Cluster
 
+	b          Backend
 	opts       Options
 	rng        *rand.Rand
 	res        Result
@@ -119,13 +159,34 @@ type Engine struct {
 	ctx Ctx
 }
 
-// NewEngine binds an engine to a cluster. Scenario randomness (which node
-// leaves, which bootstrap a reviver uses) draws from a dedicated kernel
-// stream, so runs are reproducible from the cluster seed.
+// NewEngine binds an engine to a cluster. Scenario randomness (event
+// gaps, which node leaves, which bootstrap a reviver uses) draws from a
+// dedicated kernel stream, so runs are reproducible from the cluster seed.
 func NewEngine(c *simrt.Cluster, opts Options) *Engine {
-	e := &Engine{C: c, opts: opts, rng: c.Stream(0x7363656e)} // "scen"
+	rng := c.Stream(0x7363656e) // "scen"
+	tp := &overlay.TreeP{C: c, Victims: rng}
+	if opts.Storage != nil {
+		// A joiner gets its DHT service immediately, so it participates
+		// in replication (and can be handed ownership) from its first
+		// tick.
+		tp.OnJoin = opts.Storage.Attach
+	}
+	e := newEngine(tp, rng, opts)
+	e.C = c
+	return e
+}
+
+// NewBackendEngine binds an engine to any overlay for the portable
+// phases, with no invariant checking. Event gaps draw from rng; leave
+// victims from the backend's own stream.
+func NewBackendEngine(b Backend, rng *rand.Rand) *Engine {
+	return newEngine(b, rng, Options{})
+}
+
+func newEngine(b Backend, rng *rand.Rand, opts Options) *Engine {
+	e := &Engine{b: b, opts: opts, rng: rng}
 	if opts.SampleEvery > 0 {
-		e.nextSample = c.Now() + opts.SampleEvery
+		e.nextSample = b.Now() + opts.SampleEvery
 	}
 	return e
 }
@@ -135,6 +196,9 @@ func NewEngine(c *simrt.Cluster, opts Options) *Engine {
 // result.
 func (e *Engine) Play(phases ...Phase) *Result {
 	for _, p := range phases {
+		if e.C == nil && !Portable(p) {
+			panic(fmt.Sprintf("scenario: phase %q needs a TreeP cluster", p.Name()))
+		}
 		e.curPhase = p.Name()
 		p.Run(e)
 	}
@@ -148,7 +212,9 @@ func (e *Engine) Play(phases ...Phase) *Result {
 		final = e.CheckNow()
 	}
 	e.res.Final = final
-	e.res.Events = e.C.Events()
+	if e.C != nil {
+		e.res.Events = e.C.Events()
+	}
 	return &e.res
 }
 
@@ -171,57 +237,50 @@ func (e *Engine) CheckNow() []Violation {
 
 // advance moves virtual time forward by d, taking invariant samples on the
 // configured cadence.
-func (e *Engine) advance(d time.Duration) { e.advanceUntil(e.C.Now() + d) }
+func (e *Engine) advance(d time.Duration) { e.advanceUntil(e.b.Now() + d) }
 
 // advanceUntil moves virtual time to t (absolute), sampling on the way.
 // After a wall-clock Interrupt the cluster clock freezes, so the loop
 // checks the flag explicitly rather than spinning on a time that will
 // never arrive.
 func (e *Engine) advanceUntil(t time.Duration) {
-	for e.C.Now() < t && !e.C.Interrupted() {
+	for e.b.Now() < t && !e.interrupted() {
 		next := t
 		if e.opts.SampleEvery > 0 && e.nextSample < next {
 			next = e.nextSample
 		}
-		e.C.RunUntil(next)
-		if e.opts.SampleEvery > 0 && e.C.Now() >= e.nextSample {
+		e.b.Run(next - e.b.Now())
+		if e.opts.SampleEvery > 0 && e.b.Now() >= e.nextSample {
 			e.takeSample()
-			e.nextSample = e.C.Now() + e.opts.SampleEvery
+			e.nextSample = e.b.Now() + e.opts.SampleEvery
 		}
 	}
 }
 
+// interrupted reports a wall-clock Interrupt of the engine's cluster.
+func (e *Engine) interrupted() bool { return e.C != nil && e.C.Interrupted() }
+
 func (e *Engine) takeSample() {
 	e.res.Samples = append(e.res.Samples, Sample{
-		At:         e.C.Now(),
+		At:         e.b.Now(),
 		Phase:      e.curPhase,
-		Alive:      len(e.C.AliveNodes()),
+		Alive:      e.b.AliveCount(),
 		Violations: e.CheckNow(),
 	})
 }
 
-// join spawns one node and bootstraps it through a live peer; with storage
-// enabled the joiner gets its DHT service immediately, so it participates
-// in replication (and can be handed ownership) from its first tick.
+// join spawns one node and bootstraps it through a live peer.
 func (e *Engine) join() {
-	n := e.C.SpawnJoin()
-	if n == nil {
-		return
-	}
-	e.res.Joins++
-	if e.opts.Storage != nil {
-		e.opts.Storage.Attach(n)
+	if e.b.Join() {
+		e.res.Joins++
 	}
 }
 
 // leave fail-stops a random live node, never shrinking below two.
 func (e *Engine) leave() {
-	alive := e.C.AliveNodes()
-	if len(alive) <= 2 {
-		return
+	if e.b.Leave() {
+		e.res.Leaves++
 	}
-	e.C.Kill(alive[e.rng.Intn(len(alive))])
-	e.res.Leaves++
 }
 
 // expDelay draws a Poisson inter-arrival gap for the given events/second

@@ -157,19 +157,19 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestBatchedReportsPath checks the variant selection: SingleDatagram
-// forces the fallback everywhere, and the default path is the kernel
-// batch implementation exactly on the gated platforms.
+// TestBatchedReportsPath checks the variant selection: a transport on the
+// single-datagram fallback reports it, and the default path is the
+// kernel batch implementation exactly on the gated platforms.
 func TestBatchedReportsPath(t *testing.T) {
 	cfg := core.Defaults()
 	cfg.ID = 1
-	tr, err := ListenOpts(cfg, "127.0.0.1:0", 1, Options{SingleDatagram: true})
+	tr, err := listenIO(cfg, 1, func(c *net.UDPConn) batchIO { return newSingleIO(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	if tr.Batched() {
-		t.Fatal("SingleDatagram transport reports the batch path")
+		t.Fatal("single-datagram transport reports the batch path")
 	}
 
 	cfg2 := core.Defaults()
@@ -283,7 +283,7 @@ func TestReadLoopCountsDropsAndDecodeErrors(t *testing.T) {
 	}
 	cfg := core.Defaults()
 	cfg.ID = 4
-	tr, err := newTransport(cfg, conn, 4, sio, false)
+	tr, err := newTransport(cfg, conn, 4, sio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +304,14 @@ func TestReadLoopCountsDropsAndDecodeErrors(t *testing.T) {
 }
 
 // TestOverlayFormsSingleDatagram runs a small cluster on the forced
-// fallback path: the ablation arm must remain a fully working transport,
-// with the 1:1 syscall-per-datagram profile the batch path amortises.
+// fallback path: the portable single-datagram I/O must remain a fully
+// working transport, with the 1:1 syscall-per-datagram profile the batch
+// path amortises.
 func TestOverlayFormsSingleDatagram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time UDP cluster; skipped with -short")
 	}
-	trs := startNodesOpts(t, 6, Options{SingleDatagram: true})
+	trs := startNodesIO(t, 6, func(c *net.UDPConn) batchIO { return newSingleIO(c) })
 	time.Sleep(1500 * time.Millisecond)
 	for i, tr := range trs {
 		var l0 int

@@ -38,12 +38,13 @@ func TestAddrPacking(t *testing.T) {
 
 // startNodes brings up n UDP nodes on loopback, joined through the first.
 func startNodes(t *testing.T, n int) []*Transport {
-	return startNodesOpts(t, n, Options{})
+	return startNodesIO(t, n, nil)
 }
 
-// startNodesOpts is startNodes with transport options (the batch-vs-single
-// ablation tests force the fallback path through here).
-func startNodesOpts(t *testing.T, n int, opts Options) []*Transport {
+// startNodesIO is startNodes with an injected socket I/O constructor (the
+// batch-vs-single tests force the fallback path through here); nil keeps
+// Listen's own platform choice.
+func startNodesIO(t *testing.T, n int, mkIO func(*net.UDPConn) batchIO) []*Transport {
 	t.Helper()
 	trs := make([]*Transport, 0, n)
 	for i := 0; i < n; i++ {
@@ -57,7 +58,7 @@ func startNodesOpts(t *testing.T, n int, opts Options) []*Transport {
 		cfg.ElectionMin = 50 * time.Millisecond
 		cfg.ElectionMax = 200 * time.Millisecond
 		cfg.LookupTimeout = 2 * time.Second
-		tr, err := ListenOpts(cfg, "127.0.0.1:0", int64(i+1), opts)
+		tr, err := listenIO(cfg, int64(i+1), mkIO)
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}
@@ -81,6 +82,19 @@ func startNodesOpts(t *testing.T, n int, opts Options) []*Transport {
 		}
 	}
 	return trs
+}
+
+// listenIO binds a loopback transport, on the given I/O implementation
+// when mkIO is non-nil.
+func listenIO(cfg core.Config, seed int64, mkIO func(*net.UDPConn) batchIO) (*Transport, error) {
+	if mkIO == nil {
+		return Listen(cfg, "127.0.0.1:0", seed)
+	}
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return newTransport(cfg, conn, seed, mkIO(conn))
 }
 
 func TestUDPOverlayFormsAndResolves(t *testing.T) {
