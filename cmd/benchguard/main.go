@@ -1,13 +1,17 @@
 // benchguard gates CI on substrate performance regressions: it compares
 // a fresh scale-table JSON (treep-bench -scale) against the checked-in
-// baseline and exits non-zero when allocs/run regressed beyond the
-// tolerance, or when a sharded row's parallel speedup fell below the
-// configured floor.
+// baseline and exits non-zero when allocs/run or live bytes per node
+// regressed beyond the tolerance, or when a sharded row's parallel
+// speedup fell below the configured floor.
 //
 // Allocations per run are the machine-independent cost metric of the
 // deterministic simulation — wall-clock on shared CI runners swings 2×,
 // but the allocation count of a seeded scenario is stable to a fraction
-// of a percent, so a 15% jump is a real regression, not noise. The
+// of a percent, so a 15% jump is a real regression, not noise. Live
+// bytes per node (the heap after a forced collection mid-run, over the
+// alive nodes) is the memory side of the same claim and shares the
+// tolerance; rows whose baseline has no live-bytes figure (the udp rows)
+// are gated on allocations only. The
 // speedup floor is the one wall-clock assertion: it only fires when the
 // current run's recorded GOMAXPROCS actually covers the shard count, so
 // a single-core runner cannot fail (or vacuously pass) a parallelism
@@ -38,6 +42,7 @@ type point struct {
 	// speedup floor only applies when it covers Shards.
 	MaxProcs  int     `json:"maxprocs"`
 	AllocsRun uint64  `json:"allocs_run"`
+	LiveBytes float64 `json:"live_bytes_per_node"`
 	Speedup   float64 `json:"speedup"`
 	// Truncated rows hit the -budget wall-clock cap: their counters cover
 	// an unknown prefix of the timeline, so they are skipped in both
@@ -95,10 +100,27 @@ func load(path string) (map[key]point, error) {
 	return out, nil
 }
 
+// gate prints one metric's baseline→current line and reports whether it
+// stayed within the tolerance. A current value of zero where the baseline
+// has one is a regression: the metric went missing.
+func gate(k key, metric string, base, cur, maxRegress float64, baseline string) bool {
+	ratio := cur / base
+	ok := cur > 0 && ratio <= 1+maxRegress
+	status := "ok"
+	if !ok {
+		status = "REGRESSION"
+	}
+	fmt.Printf("benchguard: %s %s %.0f -> %.0f (%+.1f%%) %s\n", k, metric, base, cur, 100*(ratio-1), status)
+	if ratio < 1-maxRegress {
+		fmt.Printf("benchguard: %s %s improved beyond tolerance — update %s to lock in the gain\n", k, metric, baseline)
+	}
+	return ok
+}
+
 func main() {
 	baseline := flag.String("baseline", "ci/bench-baseline.json", "checked-in baseline scale table")
 	current := flag.String("current", "results/scale-churn.json", "freshly generated scale table")
-	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional allocs/run growth before failing")
+	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional allocs/run and live bytes/node growth before failing")
 	minSpeedup := flag.Float64("min-speedup", 0, "minimum speedup the guarded row must reach (0 disables)")
 	speedupN := flag.Int("speedup-n", 10000, "population of the speedup-guarded churn row")
 	speedupShards := flag.Int("speedup-shards", 4, "shard count of the speedup-guarded churn row")
@@ -151,16 +173,11 @@ func main() {
 			continue
 		}
 		compared++
-		ratio := float64(c.AllocsRun) / float64(b.AllocsRun)
-		status := "ok"
-		if ratio > 1+*maxRegress {
-			status = "REGRESSION"
+		if !gate(k, "allocs/run", float64(b.AllocsRun), float64(c.AllocsRun), *maxRegress, *baseline) {
 			failed = true
 		}
-		fmt.Printf("benchguard: %s allocs/run %d -> %d (%+.1f%%) %s\n",
-			k, b.AllocsRun, c.AllocsRun, 100*(ratio-1), status)
-		if ratio < 1-*maxRegress {
-			fmt.Printf("benchguard: %s improved beyond tolerance — update %s to lock in the gain\n", k, *baseline)
+		if b.LiveBytes > 0 && !gate(k, "live B/node", b.LiveBytes, c.LiveBytes, *maxRegress, *baseline) {
+			failed = true
 		}
 	}
 	// The reverse direction: a current row with no baseline entry is an

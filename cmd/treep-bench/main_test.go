@@ -80,7 +80,7 @@ func TestConflictingFlagsExit2(t *testing.T) {
 
 // TestScaleZipfRow runs a real (tiny) -scale -zipf invocation end to end
 // and checks the exported table carries the zipf workload row with the
-// keying fields benchguard compares on.
+// keying fields benchguard compares on, and every row its live bytes.
 func TestScaleZipfRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real scale point")
@@ -95,16 +95,20 @@ func TestScaleZipfRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []struct {
-		Workload string  `json:"workload"`
-		N        int     `json:"n"`
-		Shards   int     `json:"shards"`
-		FailPct  float64 `json:"fail_pct"`
+		Workload  string  `json:"workload"`
+		N         int     `json:"n"`
+		Shards    int     `json:"shards"`
+		FailPct   float64 `json:"fail_pct"`
+		LiveBytes float64 `json:"live_bytes_per_node"`
 	}
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatal(err)
 	}
 	var zipf, churn bool
 	for _, r := range rows {
+		if r.LiveBytes <= 0 {
+			t.Errorf("%q row has no live_bytes_per_node", r.Workload)
+		}
 		switch r.Workload {
 		case "zipf":
 			zipf = true

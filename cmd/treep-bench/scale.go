@@ -49,6 +49,11 @@ type ScalePoint struct {
 	// PeakHeapBytes is the maximum live heap observed while the scenario
 	// ran (sampled HeapAlloc).
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	// LiveBytesPerNode is HeapAlloc after a forced collection at the end
+	// of the workload's load phase, with the cluster alive, divided by the
+	// alive nodes: the per-node state the population costs. sync.Pool
+	// contents count (one collection only moves them to the victim cache).
+	LiveBytesPerNode float64 `json:"live_bytes_per_node,omitempty"`
 	// Speedup is wall-clock of this row's single-shard counterpart
 	// divided by this row's wall-clock — the parallel speedup at this
 	// shard count. Zero when no shards=1 row for the same (workload, N)
@@ -84,11 +89,28 @@ func parsePop(s string) (int, error) {
 
 // scaleChurnPhases is the canonical churn timeline used at every scale
 // point — identical to BenchmarkScenarioChurn* in bench_test.go so the
-// table and the CI benchmarks track the same workload.
-func scaleChurnPhases() []scenario.Phase {
-	return []scenario.Phase{
-		scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2},
-		scenario.Settle{For: 12 * time.Second},
+// table and the CI benchmarks track the same workload. The churn phase
+// is wrapped in probe.
+func scaleChurnPhases(probe *liveProbe) []scenario.Phase {
+	probe.Phase = scenario.Churn{For: 15 * time.Second, JoinRate: 2, LeaveRate: 2}
+	return []scenario.Phase{probe, scenario.Settle{For: 12 * time.Second}}
+}
+
+// liveProbe wraps a workload's load phase: when the phase ends, with the
+// cluster alive and loaded, it forces a collection and records the live
+// heap per alive node. It only observes; the simulation is unchanged.
+type liveProbe struct {
+	scenario.Phase
+	perNode float64
+}
+
+func (p *liveProbe) Run(e *scenario.Engine) {
+	p.Phase.Run(e)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if n := e.C.AliveCount(); n > 0 {
+		p.perNode = float64(ms.HeapAlloc) / float64(n)
 	}
 }
 
@@ -130,12 +152,14 @@ func (w *heapWatcher) Stop() uint64 {
 }
 
 // dhtChurnPhases mirrors BenchmarkDHTChurn*'s canonical storage timeline:
-// seed records, run a put/get mix with concurrent churn, settle.
-func dhtChurnPhases() []scenario.Phase {
+// seed records, run a put/get mix with concurrent churn (wrapped in
+// probe), settle.
+func dhtChurnPhases(probe *liveProbe) []scenario.Phase {
+	probe.Phase = scenario.StorageWorkload{For: 15 * time.Second, PutRate: 5, GetRate: 10, JoinRate: 2, LeaveRate: 2}
 	return []scenario.Phase{
 		scenario.Settle{For: 8 * time.Second},
 		scenario.StoreRecords{Count: 300},
-		scenario.StorageWorkload{For: 15 * time.Second, PutRate: 5, GetRate: 10, JoinRate: 2, LeaveRate: 2},
+		probe,
 		scenario.Settle{For: 10 * time.Second},
 	}
 }
@@ -149,10 +173,11 @@ func runChurnPoint(n, shards, lookups int, budget time.Duration) ScalePoint {
 	mallocs0 := ms.Mallocs
 	w := watchHeap()
 	start := time.Now()
+	var probe liveProbe
 	res := experiment.RunScenario(experiment.ScenarioOptions{
 		N:               n,
 		Seeds:           []int64{1},
-		Phases:          scaleChurnPhases(),
+		Phases:          scaleChurnPhases(&probe),
 		LookupsPerPhase: lookups,
 		Parallel:        1,
 		Shards:          shards,
@@ -163,13 +188,14 @@ func runChurnPoint(n, shards, lookups int, budget time.Duration) ScalePoint {
 	runtime.ReadMemStats(&ms)
 
 	p := ScalePoint{
-		N:             n,
-		Shards:        shards,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		WallSec:       wall.Seconds(),
-		AllocsRun:     ms.Mallocs - mallocs0,
-		PeakHeapBytes: peak,
-		Truncated:     res.Trials[0].Truncated,
+		N:                n,
+		Shards:           shards,
+		MaxProcs:         runtime.GOMAXPROCS(0),
+		WallSec:          wall.Seconds(),
+		AllocsRun:        ms.Mallocs - mallocs0,
+		PeakHeapBytes:    peak,
+		LiveBytesPerNode: probe.perNode,
+		Truncated:        res.Trials[0].Truncated,
 	}
 	if r := res.Trials[0].Result; r != nil {
 		p.Events = r.Events
@@ -206,28 +232,30 @@ func runStoragePoint(n int, budget time.Duration) ScalePoint {
 	st := scenario.NewStorage(3)
 	st.AttachAll(c)
 	c.StartAll()
+	var probe liveProbe
 	res := scenario.Run(c, scenario.Options{
 		Checkers:    append(scenario.AllCheckers(), scenario.StorageCheckers(0.99)...),
 		Storage:     st,
 		FinalGrace:  3 * time.Second,
 		FinalChecks: 4,
-	}, dhtChurnPhases()...)
+	}, dhtChurnPhases(&probe)...)
 
 	wall := time.Since(start)
 	peak := w.Stop()
 	runtime.ReadMemStats(&ms)
 
 	p := ScalePoint{
-		Workload:      "dht",
-		N:             n,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		WallSec:       wall.Seconds(),
-		Events:        res.Events,
-		EventsPerS:    float64(res.Events) / wall.Seconds(),
-		AllocsRun:     ms.Mallocs - mallocs0,
-		PeakHeapBytes: peak,
-		Truncated:     c.Interrupted(),
-		Violations:    float64(len(res.Final)),
+		Workload:         "dht",
+		N:                n,
+		MaxProcs:         runtime.GOMAXPROCS(0),
+		WallSec:          wall.Seconds(),
+		Events:           res.Events,
+		EventsPerS:       float64(res.Events) / wall.Seconds(),
+		AllocsRun:        ms.Mallocs - mallocs0,
+		PeakHeapBytes:    peak,
+		LiveBytesPerNode: probe.perNode,
+		Truncated:        c.Interrupted(),
+		Violations:       float64(len(res.Final)),
 	}
 	if st.Gets > 0 {
 		p.FailPct = 100 * float64(st.GetMiss) / float64(st.Gets)
@@ -236,18 +264,20 @@ func runStoragePoint(n int, budget time.Duration) ScalePoint {
 }
 
 // zipfReadPhases mirrors BenchmarkZipfBalanced2k's skewed-read timeline:
-// ledger records, then a Zipf(1.0) read storm whose aggregate rate scales
-// with the population (N/2 reads per virtual second, floor 100).
-func zipfReadPhases(n int) []scenario.Phase {
+// ledger records, then a Zipf(1.0) read storm (wrapped in probe) whose
+// aggregate rate scales with the population (N/2 reads per virtual
+// second, floor 100).
+func zipfReadPhases(n int, probe *liveProbe) []scenario.Phase {
 	rate := float64(n) / 2
 	if rate < 100 {
 		rate = 100
 	}
+	probe.Phase = scenario.ZipfReads{For: 20 * time.Second, Rate: rate, Theta: 1.0, Readers: 64}
 	return []scenario.Phase{
 		scenario.Settle{For: 8 * time.Second},
 		scenario.StoreRecords{Count: 64},
 		scenario.Settle{For: 2 * time.Second},
-		scenario.ZipfReads{For: 20 * time.Second, Rate: rate, Theta: 1.0, Readers: 64},
+		probe,
 	}
 }
 
@@ -272,28 +302,30 @@ func runZipfPoint(n int, budget time.Duration) ScalePoint {
 	st.HotCache = true
 	st.AttachAll(c)
 	c.StartAll()
+	var probe liveProbe
 	res := scenario.Run(c, scenario.Options{
 		Checkers:    append(scenario.AllCheckers(), scenario.BalanceCheckers()...),
 		Storage:     st,
 		FinalGrace:  3 * time.Second,
 		FinalChecks: 4,
-	}, zipfReadPhases(n)...)
+	}, zipfReadPhases(n, &probe)...)
 
 	wall := time.Since(start)
 	peak := w.Stop()
 	runtime.ReadMemStats(&ms)
 
 	p := ScalePoint{
-		Workload:      "zipf",
-		N:             n,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		WallSec:       wall.Seconds(),
-		Events:        res.Events,
-		EventsPerS:    float64(res.Events) / wall.Seconds(),
-		AllocsRun:     ms.Mallocs - mallocs0,
-		PeakHeapBytes: peak,
-		Truncated:     c.Interrupted(),
-		Violations:    float64(len(res.Final)),
+		Workload:         "zipf",
+		N:                n,
+		MaxProcs:         runtime.GOMAXPROCS(0),
+		WallSec:          wall.Seconds(),
+		Events:           res.Events,
+		EventsPerS:       float64(res.Events) / wall.Seconds(),
+		AllocsRun:        ms.Mallocs - mallocs0,
+		PeakHeapBytes:    peak,
+		LiveBytesPerNode: probe.perNode,
+		Truncated:        c.Interrupted(),
+		Violations:       float64(len(res.Final)),
 	}
 	if st.Gets > 0 {
 		p.FailPct = 100 * float64(st.GetMiss) / float64(st.Gets)
@@ -365,8 +397,8 @@ func runScale(spec, shardsSpec, outDir string, lookups int, storage, zipf bool, 
 		fmt.Printf("# wall-clock budget %v per row: truncated rows marked T, excluded from speedup and benchguard\n", budget)
 	}
 	fmt.Println()
-	fmt.Printf("| %8s | %8s | %6s | %9s | %9s | %11s | %9s | %6s | %10s |\n",
-		"workload", "N", "shards", "wall", "events/s", "allocs/run", "peak heap", "fail%", "violations")
+	fmt.Printf("| %8s | %8s | %6s | %9s | %9s | %11s | %9s | %11s | %6s | %10s |\n",
+		"workload", "N", "shards", "wall", "events/s", "allocs/run", "peak heap", "live B/node", "fail%", "violations")
 
 	points := make([]ScalePoint, 0, len(ns)*(len(shardCounts)+1))
 	for _, n := range ns {
@@ -425,9 +457,9 @@ func printScaleRow(p ScalePoint) {
 	if p.Truncated {
 		trunc = "T"
 	}
-	fmt.Printf("| %8s | %8d | %6s | %7.1fs%s | %9.0f | %11d | %8.1fM | %6.1f | %10.1f |\n",
+	fmt.Printf("| %8s | %8d | %6s | %7.1fs%s | %9.0f | %11d | %8.1fM | %11.0f | %6.1f | %10.1f |\n",
 		workloadName(p.Workload), p.N, shards, p.WallSec, trunc,
-		p.EventsPerS, p.AllocsRun, float64(p.PeakHeapBytes)/(1<<20), p.FailPct, p.Violations)
+		p.EventsPerS, p.AllocsRun, float64(p.PeakHeapBytes)/(1<<20), p.LiveBytesPerNode, p.FailPct, p.Violations)
 }
 
 // writeScale exports the scale table as CSV + JSON.
@@ -461,7 +493,7 @@ func writeScaleAs(outDir, base string, points []ScalePoint) error {
 		return err
 	}
 	cw := csv.NewWriter(cf)
-	_ = cw.Write([]string{"workload", "n", "shards", "maxprocs", "wall_sec", "events", "events_per_sec", "allocs_run", "peak_heap_bytes", "speedup", "truncated", "fail_pct", "violations_end"})
+	_ = cw.Write([]string{"workload", "n", "shards", "maxprocs", "wall_sec", "events", "events_per_sec", "allocs_run", "peak_heap_bytes", "live_bytes_per_node", "speedup", "truncated", "fail_pct", "violations_end"})
 	for _, p := range points {
 		_ = cw.Write([]string{
 			workloadName(p.Workload),
@@ -473,6 +505,7 @@ func writeScaleAs(outDir, base string, points []ScalePoint) error {
 			strconv.FormatFloat(p.EventsPerS, 'f', 1, 64),
 			strconv.FormatUint(p.AllocsRun, 10),
 			strconv.FormatUint(p.PeakHeapBytes, 10),
+			strconv.FormatFloat(p.LiveBytesPerNode, 'f', 0, 64),
 			strconv.FormatFloat(p.Speedup, 'f', 3, 64),
 			strconv.FormatBool(p.Truncated),
 			strconv.FormatFloat(p.FailPct, 'f', 2, 64),

@@ -22,6 +22,8 @@ type benchEnv struct {
 	now  time.Duration
 	rng  *rand.Rand
 	sent uint64
+	// onSend, when set, sees each message before it is recycled.
+	onSend func(to uint64, msg proto.Message)
 }
 
 func (e *benchEnv) Addr() uint64       { return e.addr }
@@ -30,6 +32,9 @@ func (e *benchEnv) Rand() *rand.Rand   { return e.rng }
 
 func (e *benchEnv) Send(to uint64, msg proto.Message) {
 	e.sent++
+	if e.onSend != nil {
+		e.onSend(to, msg)
+	}
 	if r, ok := msg.(proto.Recyclable); ok {
 		r.Recycle()
 	}
@@ -60,7 +65,7 @@ func benchCluster(n int) (nodes []*Node, target *Node, from uint64, ping *proto.
 	target = nodes[n/2]
 	nbr := nodes[n/2-1]
 	ping = &proto.Ping{From: nbr.Ref(), Seq: 1}
-	ping.Entries = nbr.composeUpdateInto(nil, target.Addr(), false)
+	ping.Entries = nbr.composeUpdate(target.Addr(), false)
 	return nodes, target, nbr.Addr(), ping
 }
 

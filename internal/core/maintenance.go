@@ -52,7 +52,7 @@ func (n *Node) sendPing(to uint64) {
 	n.Stats.PingsSent++
 	p := proto.AcquirePing()
 	p.From, p.Seq = n.Ref(), n.pingSeq
-	p.Entries = n.composeUpdateInto(p.Entries, to, false)
+	p.Entries = n.composeUpdate(to, false)
 	n.send(to, p)
 }
 
@@ -296,7 +296,7 @@ func (n *Node) handlePing(from uint64, m *proto.Ping) {
 	n.Stats.PongsSent++
 	pong := proto.AcquirePong()
 	pong.From, pong.Seq = n.Ref(), m.Seq
-	pong.Entries = n.composeUpdateInto(pong.Entries, from, n.table.Children.Get(from) != nil)
+	pong.Entries = n.composeUpdate(from, n.table.Children.Get(from) != nil)
 	n.send(from, pong)
 }
 
@@ -499,9 +499,10 @@ func (n *Node) applyEntries(from uint64, sender proto.NodeRef, entries []proto.E
 			if up == nil {
 				up = proto.AcquirePong()
 				up.From = n.Ref()
+				up.Entries = proto.EntryBuf(len(entries))
 			}
 			if len(up.Entries) >= proto.MaxKeepAliveEntries {
-				// Wire-safety clamp (see composeUpdateInto): the forward
+				// Wire-safety clamp (see composeUpdate): the forward
 				// must stay sendable over real UDP.
 				continue
 			}

@@ -862,15 +862,15 @@ func (n *Node) superiorEntries(out []proto.Entry) []proto.Entry {
 	return out
 }
 
-// composeUpdateInto merges the version-gated delta for a peer with the
+// composeUpdate merges the version-gated delta for a peer with the
 // always-shipped structural entries (deduplicated by address+flags, delta
-// first), appending into out — normally a pooled message's recycled entry
-// buffer, which makes the keep-alive path allocation-free in steady
-// state. forChild additionally ships the superior list.
-func (n *Node) composeUpdateInto(out []proto.Entry, peer uint64, forChild bool) []proto.Entry {
+// first). The update is built in the node's scratchDelta and returned in
+// a pooled entry buffer of the smallest class that holds it, which keeps
+// the keep-alive path allocation-free in steady state without any
+// per-node buffer. forChild additionally ships the superior list.
+func (n *Node) composeUpdate(peer uint64, forChild bool) []proto.Entry {
 	ps := n.peerFor(peer)
-	delta := n.table.AppendDelta(n.scratchDelta[:0], ps.lastSent, n.env.Now())
-	n.scratchDelta = delta
+	upd := n.table.AppendDelta(n.scratchDelta[:0], ps.lastSent, n.env.Now())
 	ps.lastSent = n.table.Version()
 	ps.lastSentAt = n.env.Now()
 	structural := n.structuralEntries(n.scratchEntries[:0])
@@ -878,31 +878,39 @@ func (n *Node) composeUpdateInto(out []proto.Entry, peer uint64, forChild bool) 
 		structural = n.superiorEntries(structural)
 	}
 	n.scratchEntries = structural
-	for _, e := range delta {
-		out = appendEntryDedup(out, e)
+	k := 0
+	for _, e := range upd {
+		if !hasEntry(upd[:k], e) {
+			upd[k] = e
+			k++
+		}
 	}
+	upd = upd[:k]
 	for _, e := range structural {
-		out = appendEntryDedup(out, e)
+		if !hasEntry(upd, e) {
+			upd = append(upd, e)
+		}
 	}
-	if len(out) > proto.MaxKeepAliveEntries {
+	n.scratchDelta = upd
+	if len(upd) > proto.MaxKeepAliveEntries {
 		// Wire-safety clamp: a keep-alive must fit proto.MaxDatagram on
 		// the real-socket plane. §III.e bounds tables to dozens of
 		// entries, so this never fires in practice; dropped entries
 		// simply ride a later piggyback.
-		out = out[:proto.MaxKeepAliveEntries]
+		upd = upd[:proto.MaxKeepAliveEntries]
 	}
-	return out
+	return append(proto.EntryBuf(len(upd)), upd...)
 }
 
-// appendEntryDedup appends e unless an entry with the same (address,
-// flags) is already present. Linear scan: updates are a few dozen entries
-// at most (§III.e bounds the table, the delta is the changed subset), and
-// a map here costs an allocation per outgoing message.
-func appendEntryDedup(out []proto.Entry, e proto.Entry) []proto.Entry {
-	for i := range out {
-		if out[i].Ref.Addr == e.Ref.Addr && out[i].Flags == e.Flags {
-			return out
+// hasEntry reports whether es holds an entry with e's (address, flags).
+// Linear scan: updates are a few dozen entries at most (§III.e bounds the
+// table, the delta is the changed subset), and a map here costs an
+// allocation per outgoing message.
+func hasEntry(es []proto.Entry, e proto.Entry) bool {
+	for i := range es {
+		if es[i].Ref.Addr == e.Ref.Addr && es[i].Flags == e.Flags {
+			return true
 		}
 	}
-	return append(out, e)
+	return false
 }

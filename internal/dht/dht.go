@@ -184,8 +184,9 @@ type Service struct {
 	// ack was lost by re-sending the same request id; without replaying
 	// the recorded outcome the owner would re-apply the store — bumping
 	// the version again and, worse, answering a conditional store that
-	// already committed with a spurious conflict.
-	memos   [storeMemoSize]storeMemo
+	// already committed with a spurious conflict. The slice grows on use
+	// up to storeMemoSize, then wraps: most owners record few stores.
+	memos   []storeMemo
 	memoPos int
 
 	// Stats counters.
@@ -843,8 +844,13 @@ func (s *Service) finishStore(key idspace.ID, value []byte, base uint64, cond bo
 		}
 		ack.Status, ack.Version, ack.Origin = proto.StoreOK, version, from
 	}
-	s.memos[s.memoPos] = storeMemo{from: from, reqID: reqID,
+	memo := storeMemo{from: from, reqID: reqID,
 		status: ack.Status, version: ack.Version, origin: ack.Origin}
+	if len(s.memos) < storeMemoSize {
+		s.memos = append(s.memos, memo)
+	} else {
+		s.memos[s.memoPos] = memo
+	}
 	s.memoPos = (s.memoPos + 1) % storeMemoSize
 	respond(ack)
 }

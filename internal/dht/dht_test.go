@@ -400,6 +400,51 @@ func TestStoreRetryReplaysAck(t *testing.T) {
 	}
 }
 
+// TestStoreMemoRingWraps pins the replay window's eviction order: the
+// memo slice grows one record per store up to storeMemoSize, then
+// overwrites its oldest slot. After 70 stores from one requester the
+// newest request id still replays its recorded ack, while the first was
+// evicted and re-applies as a fresh store.
+func TestStoreMemoRingWraps(t *testing.T) {
+	c := simrt.New(simrt.Options{N: 2, Seed: 11, Bulk: false})
+	s := Attach(c.Nodes[0])
+	k := idspace.ID(99)
+	if len(s.memos) != 0 {
+		t.Fatalf("fresh service holds %d memos", len(s.memos))
+	}
+	var last *proto.DHTStoreAck
+	store := func(reqID uint64) {
+		s.handleStore(42, &proto.DHTStore{From: proto.NodeRef{Addr: 42}, ReqID: reqID,
+			Key: k, Value: []byte("v")},
+			func(resp proto.SvcResponse) { last = resp.(*proto.DHTStoreAck) })
+	}
+	for id := uint64(1); id <= 70; id++ {
+		store(id)
+		if want := min(int(id), storeMemoSize); len(s.memos) != want {
+			t.Fatalf("after %d stores: %d memos, want %d", id, len(s.memos), want)
+		}
+	}
+	if last.Version != 70 {
+		t.Fatalf("70th store acked version %d", last.Version)
+	}
+
+	store(70) // retry of the newest store: replayed
+	if last.Status != proto.StoreOK || last.Version != 70 {
+		t.Fatalf("retry of req 70 must replay version 70, got %+v", last)
+	}
+	if rec, _ := s.LocalHashed(k); rec.Version != 70 {
+		t.Fatalf("replayed retry re-applied: version %d", rec.Version)
+	}
+
+	store(1) // retry of the first store: evicted, so applied again
+	if last.Status != proto.StoreOK || last.Version != 71 {
+		t.Fatalf("retry of evicted req 1 must re-apply as version 71, got %+v", last)
+	}
+	if rec, _ := s.LocalHashed(k); rec.Version != 71 {
+		t.Fatalf("evicted retry not applied: version %d", rec.Version)
+	}
+}
+
 func TestMergeOrdering(t *testing.T) {
 	c := simrt.New(simrt.Options{N: 2, Seed: 10, Bulk: false})
 	s := Attach(c.Nodes[0])

@@ -124,7 +124,7 @@ func decode(b []byte, pooled bool) (Message, error) {
 		return nil, fmt.Errorf("%w: %d", ErrType, b[2])
 	}
 	r := readerPool.Get().(*reader)
-	r.buf, r.err = b[headerSize:], nil
+	r.buf, r.err, r.pooled = b[headerSize:], nil, pooled
 	m.decodeBody(r)
 	if r.err == nil && len(r.buf) != 0 {
 		r.err = ErrTrail
@@ -263,6 +263,9 @@ func (w *writer) bytes(b []byte) {
 type reader struct {
 	buf []byte
 	err error
+	// pooled is set on the DecodePooled path: entry lists then come from
+	// their size-class pools.
+	pooled bool
 }
 
 func (r *reader) fail() {
@@ -337,11 +340,10 @@ func (r *reader) entry() Entry {
 	}
 }
 
-// entriesInto decodes an entry list, appending into dst so pooled
-// messages reuse their recycled capacity. A nil dst (the fresh Decode
-// path) behaves exactly like the old allocate-per-decode reader,
-// including returning nil for an empty list.
-func (r *reader) entriesInto(dst []Entry) []Entry {
+// entries decodes an entry list into a buffer sized by the count read off
+// the wire: a pooled size class on the DecodePooled path, an exact-size
+// slice otherwise. An empty list decodes as nil.
+func (r *reader) entries() []Entry {
 	n := int(r.u16())
 	if r.err != nil {
 		return nil
@@ -351,9 +353,12 @@ func (r *reader) entriesInto(dst []Entry) []Entry {
 		return nil
 	}
 	if n == 0 {
-		return dst
+		return nil
 	}
-	if cap(dst) < n {
+	var dst []Entry
+	if r.pooled {
+		dst = EntryBuf(n)
+	} else {
 		dst = make([]Entry, 0, n)
 	}
 	for i := 0; i < n; i++ {
@@ -381,9 +386,10 @@ func (r *reader) refs() []NodeRef {
 	return out
 }
 
-// bytesInto decodes a length-prefixed byte field, appending into dst (see
-// entriesInto). The bytes are always copied out of the wire buffer: a
-// decoded message never aliases the datagram it came from.
+// bytesInto decodes a length-prefixed byte field, appending into dst so
+// pooled messages reuse their recycled capacity. The bytes are always
+// copied out of the wire buffer: a decoded message never aliases the
+// datagram it came from.
 func (r *reader) bytesInto(dst []byte) []byte {
 	n := int(r.u16())
 	if r.err != nil {
@@ -422,7 +428,7 @@ func (m *Ping) encodeBody(w *writer) { w.ref(m.From); w.u32(m.Seq); w.entries(m.
 func (m *Ping) decodeBody(r *reader) {
 	m.From = r.ref()
 	m.Seq = r.u32()
-	m.Entries = r.entriesInto(m.Entries[:0])
+	m.Entries = r.entries()
 }
 
 // Type implements Message.
@@ -435,7 +441,7 @@ func (m *Pong) encodeBody(w *writer) { w.ref(m.From); w.u32(m.Seq); w.entries(m.
 func (m *Pong) decodeBody(r *reader) {
 	m.From = r.ref()
 	m.Seq = r.u32()
-	m.Entries = r.entriesInto(m.Entries[:0])
+	m.Entries = r.entries()
 }
 
 // Type implements Message.

@@ -173,14 +173,18 @@ const (
 // the age keeps staleness cumulative across hops — without it, every
 // re-advertisement would reset a dead node's timestamp and gossip chains
 // could keep it alive far beyond its TTL.
+//
+// Fields are ordered widest first so the struct packs into 32 bytes (the
+// declaration order of the wire encoding, Level·Flags·Version·AgeDs, would
+// pad it to 40); entry buffers are the bulk of in-flight keep-alive memory.
 type Entry struct {
 	Ref     NodeRef
-	Level   uint8
-	Flags   EntryFlag
 	Version uint32
 	// AgeDs is the time since the provider last validated this entry, in
 	// deciseconds (6553 s max, far beyond any entry TTL).
 	AgeDs uint16
+	Level uint8
+	Flags EntryFlag
 }
 
 const entrySize = nodeRefSize + 1 + 1 + 4 + 2

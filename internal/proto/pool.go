@@ -31,38 +31,88 @@ var (
 	dhtReplAckPool  = sync.Pool{New: func() interface{} { return new(DHTReplicateAck) }}
 )
 
-// entrySeedCap pre-sizes a pooled message's entry buffer: typical updates
-// carry a dozen-odd entries, and seeding the capacity once per pool
-// object avoids the 1→2→4→8 append ladder on every fresh buffer.
-const entrySeedCap = 24
+// Entry buffers are pooled apart from the Ping/Pong that carries them, in
+// size classes of 8, 16, 32, 64, 128 and 256 entries. A pooled message
+// whose buffer stayed attached would keep the largest capacity it ever
+// carried; with classes, an in-flight keep-alive holds at most twice its
+// entry count, and an idle pooled message holds no entries at all. Each
+// class pools a *[K]Entry, so a Put boxes a plain pointer and does not
+// allocate. Buffers above maxPooledEntries are left to the collector.
+var (
+	entries8   = sync.Pool{New: func() interface{} { return new([8]Entry) }}
+	entries16  = sync.Pool{New: func() interface{} { return new([16]Entry) }}
+	entries32  = sync.Pool{New: func() interface{} { return new([32]Entry) }}
+	entries64  = sync.Pool{New: func() interface{} { return new([64]Entry) }}
+	entries128 = sync.Pool{New: func() interface{} { return new([128]Entry) }}
+	entries256 = sync.Pool{New: func() interface{} { return new([256]Entry) }}
+)
 
-func seedEntries(es []Entry) []Entry {
-	if cap(es) < entrySeedCap {
-		return make([]Entry, 0, entrySeedCap)
+// maxPooledEntries is the largest entry-buffer class.
+const maxPooledEntries = 256
+
+// EntryBuf returns an empty entry buffer with room for n entries: the
+// smallest class that holds n when n ≤ maxPooledEntries, a fresh slice of
+// capacity n above that, and nil when n ≤ 0. A buffer handed to a pooled
+// Ping or Pong returns to its class when the message is recycled.
+func EntryBuf(n int) []Entry {
+	switch {
+	case n <= 0:
+		return nil
+	case n <= 8:
+		return entries8.Get().(*[8]Entry)[:0]
+	case n <= 16:
+		return entries16.Get().(*[16]Entry)[:0]
+	case n <= 32:
+		return entries32.Get().(*[32]Entry)[:0]
+	case n <= 64:
+		return entries64.Get().(*[64]Entry)[:0]
+	case n <= 128:
+		return entries128.Get().(*[128]Entry)[:0]
+	case n <= maxPooledEntries:
+		return entries256.Get().(*[256]Entry)[:0]
 	}
-	return es[:0]
+	return make([]Entry, 0, n)
 }
 
-// AcquirePing returns a pooled Ping. Entries keeps its previous capacity
-// with zero length, so delta composition appends without reallocating.
-func AcquirePing() *Ping {
-	p := pingPool.Get().(*Ping)
-	p.From, p.Seq, p.Entries = NodeRef{}, 0, seedEntries(p.Entries)
-	return p
+// putEntryBuf returns a buffer to the class its capacity names; any other
+// capacity (nil included) is left to the collector.
+func putEntryBuf(es []Entry) {
+	switch cap(es) {
+	case 8:
+		entries8.Put((*[8]Entry)(es[:8]))
+	case 16:
+		entries16.Put((*[16]Entry)(es[:16]))
+	case 32:
+		entries32.Put((*[32]Entry)(es[:32]))
+	case 64:
+		entries64.Put((*[64]Entry)(es[:64]))
+	case 128:
+		entries128.Put((*[128]Entry)(es[:128]))
+	case maxPooledEntries:
+		entries256.Put((*[256]Entry)(es[:256]))
+	}
 }
 
-// Recycle implements Recyclable.
-func (p *Ping) Recycle() { pingPool.Put(p) }
+// AcquirePing returns a pooled Ping with no entry buffer; the sender
+// attaches one from EntryBuf sized to its update.
+func AcquirePing() *Ping { return pingPool.Get().(*Ping) }
+
+// Recycle implements Recyclable. The entry buffer returns to its class.
+func (p *Ping) Recycle() {
+	putEntryBuf(p.Entries)
+	*p = Ping{}
+	pingPool.Put(p)
+}
 
 // AcquirePong returns a pooled Pong (see AcquirePing).
-func AcquirePong() *Pong {
-	p := pongPool.Get().(*Pong)
-	p.From, p.Seq, p.Entries = NodeRef{}, 0, seedEntries(p.Entries)
-	return p
-}
+func AcquirePong() *Pong { return pongPool.Get().(*Pong) }
 
-// Recycle implements Recyclable.
-func (p *Pong) Recycle() { pongPool.Put(p) }
+// Recycle implements Recyclable (see Ping.Recycle).
+func (p *Pong) Recycle() {
+	putEntryBuf(p.Entries)
+	*p = Pong{}
+	pongPool.Put(p)
+}
 
 // AcquireChildReport returns a pooled ChildReport.
 func AcquireChildReport() *ChildReport {
@@ -181,8 +231,9 @@ func AcquireDHTFetchReply() *DHTFetchReply {
 func (m *DHTFetchReply) Recycle() { dhtFetchRepPool.Put(m) }
 
 // acquireMessage is DecodePooled's allocator: pooled types come from
-// their pools (with recycled slice capacity for the decode to append
-// into), everything else is a fresh value exactly as newMessage builds.
+// their pools (entry lists from their size class, other slices with
+// recycled capacity for the decode to append into), everything else is a
+// fresh value exactly as newMessage builds.
 // The two switches must stay in lockstep — TestDecodePooledCoversTypes
 // pins every wire type to a working pooled decode.
 func acquireMessage(t MsgType) Message {

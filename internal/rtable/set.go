@@ -29,10 +29,10 @@ import (
 	"treep/internal/proto"
 )
 
-// Entry is one routing-table item.
+// Entry is one routing-table item. Flags sits after Version so the
+// struct packs into 48 bytes rather than 56.
 type Entry struct {
-	Ref   proto.NodeRef
-	Flags proto.EntryFlag
+	Ref proto.NodeRef
 	// LastSeen is the time this knowledge was last refreshed — by direct
 	// contact or by a peer re-advertising it. Entries expire TTL after it.
 	LastSeen time.Duration
@@ -45,6 +45,7 @@ type Entry struct {
 	LastDirect time.Duration
 	// Version is the table-local modification stamp used for delta sync.
 	Version uint32
+	Flags   proto.EntryFlag
 }
 
 // neverDirect marks an entry that has never been heard from directly. Far

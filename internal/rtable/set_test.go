@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"treep/internal/idspace"
 	"treep/internal/proto"
@@ -11,6 +12,14 @@ import (
 
 func ref(id idspace.ID, addr uint64) proto.NodeRef {
 	return proto.NodeRef{ID: id, Addr: addr}
+}
+
+// TestEntryLayout pins the packed size of a table entry: Flags after
+// Version keeps it at 48 bytes.
+func TestEntryLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Entry{}); s != 48 {
+		t.Fatalf("sizeof(Entry) = %d, want 48", s)
+	}
 }
 
 func TestSetUpsertAndGet(t *testing.T) {

@@ -327,6 +327,13 @@ func (k *Kernel) Stream(label uint64) *rand.Rand {
 	return r
 }
 
+// HasStream reports whether Stream(label) has been derived on this kernel
+// (inspection only: simrt derives a node's stream on its first draw).
+func (k *Kernel) HasStream(label uint64) bool {
+	_, ok := k.streams[label]
+	return ok
+}
+
 // mix64 is the splitmix64 finaliser, a cheap strong bit mixer.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

@@ -170,7 +170,7 @@ func (c *Cluster) attach(cfg core.Config) *core.Node {
 	}
 	addr := c.Net.AttachOn(shard, func(netsim.Addr, interface{}, int) {})
 	kern := c.kernelFor(shard)
-	env := &simEnv{cluster: c, addr: uint64(addr), rng: kern.Stream(uint64(addr)), kern: kern}
+	env := &simEnv{cluster: c, addr: uint64(addr), kern: kern}
 	node := core.NewNode(cfg, env)
 	c.Net.SetHandler(addr, func(from netsim.Addr, payload interface{}, size int) {
 		if msg, ok := payload.(proto.Message); ok {
@@ -434,13 +434,18 @@ func (c *Cluster) Rand() *rand.Rand { return c.Stream(0x776b6c64) } // "wkld"
 type simEnv struct {
 	cluster *Cluster
 	addr    uint64
-	rng     *rand.Rand
 	kern    *sim.Kernel
 }
 
 func (e *simEnv) Addr() uint64       { return e.addr }
 func (e *simEnv) Now() time.Duration { return e.kern.Now() }
-func (e *simEnv) Rand() *rand.Rand   { return e.rng }
+
+// Rand returns the node's stream, which the kernel derives on the first
+// call and caches: most nodes never draw (elections and re-anchoring are
+// rare), and a math/rand source is about 5 KB. The stream depends only
+// on the kernel seed and the label, so deriving it late draws the same
+// sequence as deriving it at attach.
+func (e *simEnv) Rand() *rand.Rand { return e.kern.Stream(e.addr) }
 
 func (e *simEnv) Send(to uint64, msg proto.Message) {
 	// Dead senders cannot transmit: a killed node's queued timer closures

@@ -7,6 +7,7 @@ import (
 	"treep/internal/core"
 	"treep/internal/netsim"
 	"treep/internal/proto"
+	"treep/internal/sim"
 )
 
 // runLookups issues one lookup from each origin to each target's ID and
@@ -289,4 +290,51 @@ func TestNodeByAddr(t *testing.T) {
 	if c.NodeByAddr(99999) != nil {
 		t.Fatal("unknown addr should be nil")
 	}
+}
+
+// TestNodeStreamsDerivedOnFirstDraw pins the lazy per-node random
+// streams on both engines: after a bulk build and settle, nodes that never
+// drew hold no stream on their kernel, and a stream derived that late
+// draws exactly what sim.New(seed).Stream(addr) draws — the sequence a
+// stream derived at attach would have produced.
+func TestNodeStreamsDerivedOnFirstDraw(t *testing.T) {
+	const seed = 5
+	for _, shards := range []int{0, 2} {
+		c := New(Options{N: 300, Seed: seed, Bulk: true, Shards: shards})
+		c.StartAll()
+		c.Run(8 * time.Second)
+		var idle []*core.Node
+		for _, nd := range c.Nodes {
+			if !nodeKernel(c, nd).HasStream(nd.Addr()) {
+				idle = append(idle, nd)
+			}
+		}
+		if len(idle) == 0 || len(idle) == len(c.Nodes) {
+			t.Fatalf("shards=%d: %d of %d nodes hold no stream; want some but not all",
+				shards, len(idle), len(c.Nodes))
+		}
+		nd := idle[len(idle)/2]
+		kern := nodeKernel(c, nd)
+		env := &simEnv{cluster: c, addr: nd.Addr(), kern: kern}
+		ref := sim.New(seed).Stream(nd.Addr())
+		for i := 0; i < 16; i++ {
+			if got, want := env.Rand().Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("shards=%d: draw %d = %#x, want %#x", shards, i, got, want)
+			}
+		}
+		if !kern.HasStream(nd.Addr()) {
+			t.Fatalf("shards=%d: first draw did not derive the stream", shards)
+		}
+		if c.Engine != nil {
+			c.Engine.Close()
+		}
+	}
+}
+
+// nodeKernel is the kernel a node's environment binds to (see attach).
+func nodeKernel(c *Cluster, nd *core.Node) *sim.Kernel {
+	if c.Engine == nil {
+		return c.Kernel
+	}
+	return c.kernelFor(shardOfID(uint64(nd.ID()), c.Engine.Shards()))
 }
